@@ -24,8 +24,8 @@
 //!    the reserved one on $/1k-goodput-tokens by ≥1.3×, with zero lost
 //!    requests across every scale-up, drain and retire.
 //! 4. **Fleet-scale parallel stepping** — a 32-deployment fleet on a
-//!    100k-request seeded trace, run serially and through the 4-thread
-//!    lockstep fan-out pool. The two [`ClusterReport`]s are asserted
+//!    100k-request seeded trace, run serially and over 4 phase-A shard
+//!    threads. The two `ClusterReport`s are asserted
 //!    bit-identical (the determinism contract), the serial-vs-parallel
 //!    wall clock and speedup are recorded next to the machine's logical
 //!    core count, and the `fleet-smoke` CI job gates speedup ≥2× on
@@ -243,9 +243,9 @@ fn main() {
     let fixed_vs_elastic = fixed_cost_per_1k / hybrid_cost_per_1k;
     eprintln!("reserved vs keep-alive elastic $/1k-goodput: {fixed_vs_elastic:.3}x");
 
-    // -- 4: fleet-scale parallel lockstep stepping --
+    // -- 4: fleet-scale parallel stepping --
     // 32 identical deployments on a 100k-request seeded trace: the same
-    // run serially and through the 4-thread fan-out pool. The simulation
+    // run serially and over 4 phase-A shard threads. The simulation
     // is bit-deterministic at any thread count, so the two ClusterReports
     // are asserted equal outright; the speedup is recorded next to the
     // machine's logical core count (a 1-core runner cannot show one).
@@ -253,9 +253,9 @@ fn main() {
     const FLEET_REQUESTS: usize = 100_000;
     const FLEET_THREADS: usize = 4;
     // Offline inference shape: the whole campaign is enqueued up front
-    // (mean interarrival 0), every deployment runs a full batch every
-    // step, and the lockstep rounds are few and heavy — the regime the
-    // fan-out pool is built for.
+    // (mean interarrival 0), so every deployment runs ahead to the end
+    // of its share in one round — the regime where each shard thread
+    // gets the most work per barrier.
     let fleet_trace =
         TraceConfig { mean_interarrival_steps: 0, ..TraceConfig::azure_mix(FLEET_REQUESTS, SEED) }
             .generate()

@@ -1,33 +1,35 @@
 //! The elastic cluster engine: [`ClusterEngine`](crate::cluster::ClusterEngine)'s
-//! lockstep serving loop with a deployment lifecycle, an autoscaler, and
-//! utilization billing wrapped around it.
+//! two-phase serving round, one step per round, with a deployment
+//! lifecycle, an autoscaler, and utilization billing wrapped around it.
 
 use super::autoscale::{AutoscalePolicy, FleetSnapshot, ScaleDecision};
 use super::lifecycle::{ColdStartModel, DeploymentLifecycle, LifecycleEvent, LifecycleState};
-use crate::cluster::policy::{ClusterSnapshot, DeploymentView, RouteRequest, RoutingPolicy};
+use crate::cluster::policy::{DeploymentView, RouteRequest, RoutingPolicy};
 use crate::cluster::report::ClusterReport;
 use crate::cluster::router::{
-    clamp_route, deployment_view, install_shared_warm_start, provisioning_cost, ClusterConfig, Slot,
+    advance_slots, deployment_view, hand_over, install_shared_warm_start, provisioning_cost,
+    refresh_view, refresh_views, route_views, settle_round, ClusterConfig, Slot,
 };
 use crate::runner::CoreError;
-use crate::serve::engine::{QueueEntry, StepProgress};
+use crate::serve::engine::check_sorted;
 use crate::serve::ServeEngine;
-use hilos_accel::with_fanout;
 use hilos_llm::{DeploymentId, Request};
 use hilos_metrics::{FleetBill, SlotBill};
 use hilos_trace::{EventKind, NO_REQUEST};
 
-/// The trace-event kind a lifecycle transition lands as in the slot's
-/// event ring (the full [`LifecycleEvent`] audit trail is reported
+/// Appends a lifecycle transition to the audit trail and lands it in the
+/// slot's event ring (the full [`LifecycleEvent`] trail is reported
 /// separately; the ring carries the serving-interleaved view).
-fn lifecycle_kind(to: LifecycleState) -> EventKind {
-    match to {
+fn record(slot: &mut Slot, events: &mut Vec<LifecycleEvent>, ev: LifecycleEvent) {
+    let kind = match ev.to {
         LifecycleState::Provisioning => EventKind::ScaleUp,
         LifecycleState::Warming => EventKind::Warming,
         LifecycleState::Active => EventKind::Activated,
         LifecycleState::Draining => EventKind::Drain,
         LifecycleState::Retired => EventKind::Retired,
-    }
+    };
+    slot.st.emit(DeploymentId(ev.deployment), NO_REQUEST, kind);
+    events.push(ev);
 }
 
 /// Fleet-elasticity knobs.
@@ -49,7 +51,7 @@ pub struct ElasticConfig {
     /// is *stepwise*: the slot keeps serving what it still holds while
     /// the cluster migrates this many requests per step.
     pub drain_batch: usize,
-    /// Cluster-execution knobs (lockstep fan-out width, shared
+    /// Cluster-execution knobs (phase-A thread count, shared
     /// warm-start) — the same contract as the fixed engine: any
     /// `cluster_threads` value is bit-identical.
     pub cluster: ClusterConfig,
@@ -205,54 +207,33 @@ impl ElasticClusterEngine {
         &self.engines
     }
 
-    fn slot_views(
-        lifecycles: &[DeploymentLifecycle],
-        slots: &[Option<Slot>],
-        dispatched: &[u64],
-        costs: &[(f64, f64)],
-    ) -> Vec<DeploymentView> {
-        slots
-            .iter()
-            .zip(dispatched.iter().zip(costs))
-            .zip(lifecycles)
-            .map(|((slot, (&d, &cost)), lc)| {
-                let (eng, st) = slot.as_ref().expect("slot checked in");
-                deployment_view(eng, st, d, lc.state(), cost)
-            })
-            .collect()
-    }
-
     /// Least-loaded Active slot (ties to the lower index) — the fallback
     /// target when a routing policy misbehaves. The engine never drains
     /// below `min_active >= 1`, so an Active slot always exists.
-    fn least_loaded_active(lifecycles: &[DeploymentLifecycle], slots: &[Option<Slot>]) -> usize {
+    fn least_loaded_active(lifecycles: &[DeploymentLifecycle], slots: &[Slot]) -> usize {
         (0..slots.len())
             .filter(|&d| lifecycles[d].state() == LifecycleState::Active)
             .min_by_key(|&d| {
-                let st = &slots[d].as_ref().expect("slot checked in").1;
+                let st = &slots[d].st;
                 (st.queued_len() + st.prefilling_len() + st.decoding_len(), d)
             })
             .expect("min_active >= 1 keeps at least one slot Active")
     }
 
-    /// Routes through the policy over lifecycle-aware views, validating
-    /// out-of-range answers ([`clamp_route`]), then *enforces* the
-    /// lifecycle: a pick that lands on a non-Active slot is overridden
-    /// to the least-loaded Active one.
-    #[allow(clippy::too_many_arguments)]
+    /// Routes through the policy over the lifecycle-aware views
+    /// ([`route_views`]), then *enforces* the lifecycle: a pick that
+    /// lands on a non-Active slot is overridden to the least-loaded
+    /// Active one.
     fn route_slots(
         routing: &mut dyn RoutingPolicy,
         lifecycles: &[DeploymentLifecycle],
-        slots: &[Option<Slot>],
-        dispatched: &[u64],
-        costs: &[(f64, f64)],
+        views: &[DeploymentView],
+        slots: &[Slot],
         step: u64,
         request: RouteRequest,
         misrouted: &mut u64,
     ) -> usize {
-        let views = Self::slot_views(lifecycles, slots, dispatched, costs);
-        let snapshot = ClusterSnapshot { step, deployments: &views };
-        let d = clamp_route(routing.route(&request, &snapshot), slots.len(), misrouted);
+        let d = route_views(routing, views, step, request, misrouted);
         if lifecycles[d].state() == LifecycleState::Active {
             d
         } else {
@@ -280,17 +261,11 @@ impl ElasticClusterEngine {
     ///
     /// # Errors
     ///
-    /// Propagates simulation errors, or [`CoreError::SchedulerStalled`]
-    /// exactly as the fixed engine does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is not sorted by arrival step.
+    /// Returns [`CoreError::UnsortedTrace`] if the trace is not sorted by
+    /// arrival step. Propagates simulation errors, or
+    /// [`CoreError::SchedulerStalled`] exactly as the fixed engine does.
     pub fn run_trace(&mut self, trace: &[Request]) -> Result<ElasticReport, CoreError> {
-        assert!(
-            trace.windows(2).all(|w| w[0].arrival_step <= w[1].arrival_step),
-            "trace must be sorted by arrival step"
-        );
+        check_sorted(trace)?;
         let n = self.engines.len();
         let hint = self.config.step_seconds_hint;
         let min_active = self.config.min_active;
@@ -298,13 +273,10 @@ impl ElasticClusterEngine {
             self.lifecycles.iter().map(|lc| lc.cold_start().total_steps(hint)).max().unwrap_or(1);
 
         let threads = self.config.cluster.cluster_threads.min(n);
-        let mut slots: Vec<Option<Slot>> = std::mem::take(&mut self.engines)
-            .into_iter()
-            .map(|e| {
-                let st = e.new_run_state();
-                Some((e, st))
-            })
-            .collect();
+        let mut slots: Vec<Slot> =
+            std::mem::take(&mut self.engines).into_iter().map(Slot::new).collect();
+        let mut views: Vec<DeploymentView> =
+            slots.iter().zip(&self.costs).map(|(s, &cost)| deployment_view(s, cost)).collect();
         let mut dispatched = vec![0u64; n];
         let mut redispatches = 0u64;
         let mut misrouted = 0u64;
@@ -317,35 +289,20 @@ impl ElasticClusterEngine {
         let mut peak_active = self.config.initial_active;
         let mut cold_start_s = vec![0.0f64; n];
 
-        // Phase A of the lockstep iteration (identical to the fixed
-        // engine): one slot's serving iteration plus its victim drain,
-        // touching only the slot it is handed.
-        let advance =
-            |_d: usize, slot: &mut Slot| -> (Result<StepProgress, CoreError>, Vec<QueueEntry>) {
-                let (eng, st) = slot;
-                match eng.advance_once(st) {
-                    Ok(p) => (Ok(p), st.drain_just_preempted()),
-                    Err(e) => (Err(e), Vec::new()),
-                }
-            };
-
-        let run: Result<(), CoreError> = with_fanout(threads, advance, |pool| {
+        let run = (|| -> Result<(), CoreError> {
+            let lifecycles = &mut self.lifecycles;
             let mut idx = 0usize;
             let mut gstep = 0u64;
-            let mut results: Vec<Option<(Result<StepProgress, CoreError>, Vec<QueueEntry>)>> =
-                (0..n).map(|_| None).collect();
             loop {
                 // 1: lifecycle transits — cold starts whose thresholds have
                 // passed turn Warming/Active.
                 for d in 0..n {
-                    for ev in self.lifecycles[d].tick(gstep, d as u32) {
-                        let (_, st) = slots[d].as_mut().expect("slot checked in");
-                        st.emit(DeploymentId(d as u32), NO_REQUEST, lifecycle_kind(ev.to));
-                        events.push(ev);
+                    for ev in lifecycles[d].tick(gstep, d as u32) {
+                        record(&mut slots[d], &mut events, ev);
                     }
                 }
                 let active_now =
-                    self.lifecycles.iter().filter(|l| l.state() == LifecycleState::Active).count();
+                    lifecycles.iter().filter(|l| l.state() == LifecycleState::Active).count();
                 peak_active = peak_active.max(active_now);
 
                 // 2: autoscale — skipped once the trace is exhausted (no
@@ -354,8 +311,7 @@ impl ElasticClusterEngine {
                 if idx < trace.len() {
                     let arrivals_now =
                         trace[idx..].iter().take_while(|r| r.arrival_step <= gstep).count();
-                    let views =
-                        Self::slot_views(&self.lifecycles, &slots, &dispatched, &self.costs);
+                    refresh_views(&mut views, &slots, &dispatched, |d| lifecycles[d].state());
                     let snap = FleetSnapshot {
                         step: gstep,
                         arrivals_this_step: arrivals_now,
@@ -368,32 +324,24 @@ impl ElasticClusterEngine {
                         ScaleDecision::ScaleUp { count } => {
                             for _ in 0..count {
                                 // Lowest-indexed Retired slot first.
-                                let Some(d) = (0..n).find(|&d| {
-                                    self.lifecycles[d].state() == LifecycleState::Retired
-                                }) else {
+                                let Some(d) = (0..n)
+                                    .find(|&d| lifecycles[d].state() == LifecycleState::Retired)
+                                else {
                                     break;
                                 };
                                 if let Some(ev) =
-                                    self.lifecycles[d].begin_provision(gstep, hint, d as u32)
+                                    lifecycles[d].begin_provision(gstep, hint, d as u32)
                                 {
-                                    let (_, st) = slots[d].as_mut().expect("slot checked in");
-                                    st.emit(
-                                        DeploymentId(d as u32),
-                                        NO_REQUEST,
-                                        lifecycle_kind(ev.to),
-                                    );
-                                    events.push(ev);
+                                    record(&mut slots[d], &mut events, ev);
                                     scale_ups += 1;
-                                    cold_start_s[d] += self.lifecycles[d].cold_start().total_s();
+                                    cold_start_s[d] += lifecycles[d].cold_start().total_s();
                                 }
                             }
                         }
                         ScaleDecision::ScaleDown { count } => {
                             for _ in 0..count {
                                 let active: Vec<usize> = (0..n)
-                                    .filter(|&d| {
-                                        self.lifecycles[d].state() == LifecycleState::Active
-                                    })
+                                    .filter(|&d| lifecycles[d].state() == LifecycleState::Active)
                                     .collect();
                                 if active.len() <= min_active {
                                     break;
@@ -403,21 +351,15 @@ impl ElasticClusterEngine {
                                 let d = *active
                                     .iter()
                                     .min_by_key(|&&d| {
-                                        let st = &slots[d].as_ref().expect("slot checked in").1;
+                                        let st = &slots[d].st;
                                         let load = st.queued_len()
                                             + st.prefilling_len()
                                             + st.decoding_len();
                                         (load, usize::MAX - d)
                                     })
                                     .expect("non-empty active list");
-                                if let Some(ev) = self.lifecycles[d].begin_drain(gstep, d as u32) {
-                                    let (_, st) = slots[d].as_mut().expect("slot checked in");
-                                    st.emit(
-                                        DeploymentId(d as u32),
-                                        NO_REQUEST,
-                                        lifecycle_kind(ev.to),
-                                    );
-                                    events.push(ev);
+                                if let Some(ev) = lifecycles[d].begin_drain(gstep, d as u32) {
+                                    record(&mut slots[d], &mut events, ev);
                                     drains += 1;
                                 }
                             }
@@ -426,23 +368,25 @@ impl ElasticClusterEngine {
                 }
 
                 // 3: dispatch arrivals up to the global serving step.
+                if trace.get(idx).is_some_and(|r| r.arrival_step <= gstep) {
+                    refresh_views(&mut views, &slots, &dispatched, |d| lifecycles[d].state());
+                }
                 while idx < trace.len() && trace[idx].arrival_step <= gstep {
                     let req = trace[idx];
-                    let view = RouteRequest::of(&req, 0, false);
                     let d = Self::route_slots(
                         self.routing.as_mut(),
-                        &self.lifecycles,
+                        lifecycles,
+                        &views,
                         &slots,
-                        &dispatched,
-                        &self.costs,
                         gstep,
-                        view,
+                        RouteRequest::of(&req, 0, false),
                         &mut misrouted,
                     );
                     dispatched[d] += 1;
-                    let (eng, st) = slots[d].as_mut().expect("slot checked in");
-                    st.emit(DeploymentId(d as u32), req.id, EventKind::Routed);
-                    eng.enqueue_arrival(st, req);
+                    let slot = &mut slots[d];
+                    slot.st.emit(DeploymentId(d as u32), req.id, EventKind::Routed);
+                    slot.eng.enqueue_arrival(&mut slot.st, req);
+                    refresh_view(&mut views[d], slot, dispatched[d], lifecycles[d].state());
                     idx += 1;
                 }
 
@@ -452,84 +396,64 @@ impl ElasticClusterEngine {
                 // the target's clock, demoted KV dropped at the source), and
                 // retire once empty.
                 for d in 0..n {
-                    if self.lifecycles[d].state() != LifecycleState::Draining {
+                    if lifecycles[d].state() != LifecycleState::Draining {
                         continue;
                     }
                     let moved = {
-                        let (eng, st) = slots[d].as_mut().expect("slot checked in");
+                        let Slot { eng, st, .. } = &mut slots[d];
                         let mut moved = eng.evacuate_queued(st);
                         moved.extend(eng.evacuate_in_flight(st, self.config.drain_batch));
                         moved
                     };
-                    for mut entry in moved {
-                        let view = RouteRequest::of(&entry.req, entry.emitted, true);
+                    if !moved.is_empty() {
+                        refresh_views(&mut views, &slots, &dispatched, |d| lifecycles[d].state());
+                    }
+                    for entry in moved {
                         let target = Self::route_slots(
                             self.routing.as_mut(),
-                            &self.lifecycles,
+                            lifecycles,
+                            &views,
                             &slots,
-                            &dispatched,
-                            &self.costs,
                             gstep,
-                            view,
+                            RouteRequest::of(&entry.req, entry.emitted, true),
                             &mut misrouted,
                         );
                         redispatches += 1;
                         drained_requests += 1;
-                        {
-                            let (eng, st) = slots[d].as_mut().expect("slot checked in");
-                            eng.forget_demoted(st, entry.req.id);
+                        hand_over(&mut slots, d, target, entry);
+                        for t in [d, target] {
+                            refresh_view(
+                                &mut views[t],
+                                &slots[t],
+                                dispatched[t],
+                                lifecycles[t].state(),
+                            );
                         }
-                        let from_clock = slots[d].as_ref().expect("slot checked in").1.clock;
-                        let (eng_t, st_t) = slots[target].as_mut().expect("slot checked in");
-                        let shift = st_t.clock - from_clock;
-                        entry.arrival_s += shift;
-                        entry.first_token_s = entry.first_token_s.map(|t| t + shift);
-                        entry.first_admitted_s = entry.first_admitted_s.map(|t| t + shift);
-                        st_t.emit(
-                            DeploymentId(target as u32),
-                            entry.req.id,
-                            EventKind::Migrated {
-                                from: d as u32,
-                                arrival_s: entry.arrival_s,
-                                first_token_s: entry.first_token_s.unwrap_or(0.0),
-                                emitted: entry.emitted,
-                            },
-                        );
-                        eng_t.requeue(st_t, entry);
                     }
-                    if !slots[d].as_ref().expect("slot checked in").1.has_work() {
-                        if let Some(ev) = self.lifecycles[d].retire(gstep, d as u32) {
-                            let (_, st) = slots[d].as_mut().expect("slot checked in");
-                            st.emit(DeploymentId(d as u32), NO_REQUEST, lifecycle_kind(ev.to));
-                            events.push(ev);
+                    if !slots[d].st.has_work() {
+                        if let Some(ev) = lifecycles[d].retire(gstep, d as u32) {
+                            record(&mut slots[d], &mut events, ev);
                             retires += 1;
                         }
                     }
                 }
 
                 // 5: fully idle everywhere — jump time or finish.
-                if !slots.iter().any(|s| s.as_ref().expect("slot checked in").1.has_work()) {
+                if !slots.iter().any(|s| s.st.has_work()) {
                     if idx >= trace.len() {
-                        let pending: Vec<usize> = (0..n)
-                            .filter(|&d| {
-                                matches!(
-                                    self.lifecycles[d].state(),
-                                    LifecycleState::Provisioning | LifecycleState::Warming
-                                )
-                            })
-                            .collect();
-                        if pending.is_empty() {
-                            break;
-                        }
                         // Trace exhausted with cold starts still in flight:
                         // cancel them — there is nothing left to serve (the
                         // wasted cold start stays billed; mispredictions
                         // cost money).
-                        for d in pending {
-                            if let Some(ev) = self.lifecycles[d].retire(gstep, d as u32) {
-                                let (_, st) = slots[d].as_mut().expect("slot checked in");
-                                st.emit(DeploymentId(d as u32), NO_REQUEST, lifecycle_kind(ev.to));
-                                events.push(ev);
+                        for d in 0..n {
+                            if !matches!(
+                                lifecycles[d].state(),
+                                LifecycleState::Provisioning | LifecycleState::Warming
+                            ) {
+                                continue;
+                            }
+                            if let Some(ev) = lifecycles[d].retire(gstep, d as u32) {
+                                record(&mut slots[d], &mut events, ev);
                                 retires += 1;
                             }
                         }
@@ -539,13 +463,12 @@ impl ElasticClusterEngine {
                     // transition, or the autoscaler's pre-warm point,
                     // whichever comes first.
                     let mut wake = trace[idx].arrival_step;
-                    for lc in &self.lifecycles {
+                    for lc in lifecycles.iter() {
                         if let Some(t) = lc.next_transition_step() {
                             wake = wake.min(t);
                         }
                     }
-                    let views =
-                        Self::slot_views(&self.lifecycles, &slots, &dispatched, &self.costs);
+                    refresh_views(&mut views, &slots, &dispatched, |d| lifecycles[d].state());
                     let snap = FleetSnapshot {
                         step: gstep,
                         arrivals_this_step: 0,
@@ -562,83 +485,47 @@ impl ElasticClusterEngine {
                     continue;
                 }
 
-                // 6: one lockstep iteration of every slot with work, in two
-                // phases identical to the fixed engine. Phase A fans the
-                // independent per-slot iterations out over the worker pool;
-                // phase B merges progress and re-dispatches fresh victims in
+                // 6: one lockstep round, in the fixed engine's two phases.
+                // Phase A steps every slot with work exactly one step in
+                // place (the autoscaler and drain read the fleet every
+                // step, so there is no run-ahead here); phase B merges
+                // progress and re-dispatches fresh victims in
                 // deployment-index order (a victim preempted on a Draining
                 // slot re-routes onto an Active one).
-                let mut batch: Vec<(usize, Slot)> = Vec::new();
-                for (d, slot) in slots.iter_mut().enumerate() {
-                    let has_work = slot.as_ref().expect("slot checked in").1.has_work();
-                    if !has_work {
-                        continue;
-                    }
-                    let mut s = slot.take().expect("slot checked in");
-                    s.1.step = gstep;
-                    batch.push((d, s));
+                advance_slots(&mut slots, gstep, gstep + 1, threads);
+                let all_stalled = settle_round(&mut slots, gstep)?;
+                if slots.iter().any(|s| !s.moved.is_empty()) {
+                    refresh_views(&mut views, &slots, &dispatched, |d| lifecycles[d].state());
                 }
-                for (d, slot, out) in pool.run(batch) {
-                    slots[d] = Some(slot);
-                    results[d] = Some(out);
-                }
-
-                let mut all_stalled = true;
                 for d in 0..n {
-                    let Some((progress, moved)) = results[d].take() else {
-                        continue;
-                    };
-                    let progress = progress?;
-                    if progress != StepProgress::Stalled {
-                        all_stalled = false;
-                    }
-                    for mut entry in moved {
-                        let view = RouteRequest::of(&entry.req, entry.emitted, true);
+                    for entry in std::mem::take(&mut slots[d].moved) {
                         let target = Self::route_slots(
                             self.routing.as_mut(),
-                            &self.lifecycles,
+                            lifecycles,
+                            &views,
                             &slots,
-                            &dispatched,
-                            &self.costs,
                             gstep,
-                            view,
+                            RouteRequest::of(&entry.req, entry.emitted, true),
                             &mut misrouted,
                         );
                         if target != d {
                             redispatches += 1;
-                            {
-                                let (eng, st) = slots[d].as_mut().expect("slot checked in");
-                                eng.forget_demoted(st, entry.req.id);
-                            }
-                            let from_clock = slots[d].as_ref().expect("slot checked in").1.clock;
-                            let (_, st_t) = slots[target].as_mut().expect("slot checked in");
-                            let shift = st_t.clock - from_clock;
-                            entry.arrival_s += shift;
-                            entry.first_token_s = entry.first_token_s.map(|t| t + shift);
-                            entry.first_admitted_s = entry.first_admitted_s.map(|t| t + shift);
-                            st_t.emit(
-                                DeploymentId(target as u32),
-                                entry.req.id,
-                                EventKind::Migrated {
-                                    from: d as u32,
-                                    arrival_s: entry.arrival_s,
-                                    first_token_s: entry.first_token_s.unwrap_or(0.0),
-                                    emitted: entry.emitted,
-                                },
+                        }
+                        hand_over(&mut slots, d, target, entry);
+                        for t in [d, target] {
+                            refresh_view(
+                                &mut views[t],
+                                &slots[t],
+                                dispatched[t],
+                                lifecycles[t].state(),
                             );
                         }
-                        let (eng_t, st_t) = slots[target].as_mut().expect("slot checked in");
-                        eng_t.requeue(st_t, entry);
                     }
                 }
                 if all_stalled {
                     if idx >= trace.len() {
-                        return Err(CoreError::SchedulerStalled {
-                            queued: slots
-                                .iter()
-                                .map(|s| s.as_ref().expect("slot checked in").1.queued_len())
-                                .sum(),
-                        });
+                        let queued = slots.iter().map(|s| s.st.queued_len()).sum();
+                        return Err(CoreError::SchedulerStalled { queued });
                     }
                     gstep = trace[idx].arrival_step;
                     continue;
@@ -646,15 +533,9 @@ impl ElasticClusterEngine {
                 gstep += 1;
             }
             Ok(())
-        });
+        })();
 
-        let mut engines = Vec::with_capacity(n);
-        let mut states = Vec::with_capacity(n);
-        for s in slots {
-            let (eng, st) = s.expect("every slot checked back in");
-            engines.push(eng);
-            states.push(st);
-        }
+        let (engines, states): (Vec<_>, Vec<_>) = slots.into_iter().map(|s| (s.eng, s.st)).unzip();
         self.engines = engines;
         run?;
 

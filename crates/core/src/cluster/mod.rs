@@ -16,7 +16,8 @@
 //!   [`HilosSystem`](crate::HilosSystem), its own
 //!   [`SchedulingPolicy`](crate::SchedulingPolicy), its own per-device
 //!   [`KvShardLedger`](hilos_storage::KvShardLedger)) and advances them
-//!   in lockstep under one global arrival cursor.
+//!   under one global arrival cursor, each running ahead to the next
+//!   routing point when nothing couples them sooner.
 //! * Each arriving [`Request`](hilos_llm::Request) is dispatched through
 //!   a pluggable [`RoutingPolicy`] fed a read-only [`ClusterSnapshot`] —
 //!   queue depth, batch composition, ledger pressure, the degradation
@@ -43,7 +44,8 @@
 //!
 //! # The elastic cluster
 //!
-//! [`elastic`] wraps the same lockstep loop in a fleet-sizing loop.
+//! [`elastic`] wraps the same two-phase round, one step at a time, in a
+//! fleet-sizing loop.
 //! Every slot carries a [`DeploymentLifecycle`]
 //! (`Provisioning → Warming → Active → Draining → Retired`, with
 //! `Retired → Provisioning` closing the keep-alive cycle); a cold start
@@ -61,27 +63,44 @@
 //! (busy seconds + paid cold starts per slot) to compare against a
 //! statically-provisioned peak fleet.
 //!
-//! # The two-phase lockstep iteration
+//! # The two-phase round
 //!
-//! Both engines execute every global step in two phases. **Phase A
-//! (advance)**: each deployment with work runs one serving iteration
+//! Both engines execute the trace in rounds of two phases. **Phase A
+//! (advance)**: each deployment with work runs serving iterations
 //! ([`ServeEngine::advance_once`](crate::ServeEngine)) touching only its
 //! own state — queues, batch, ledgers, step caches, trace sink all live
-//! inside the slot. Because the iterations are independent, they fan
-//! out over a persistent worker pool
-//! ([`ClusterConfig::with_cluster_threads`]) when one is configured.
-//! **Phase B (merge)**: back on the calling thread, the per-slot results
-//! ([`StepProgress`](crate::StepProgress) plus freshly preempted
+//! inside its slot, and the slot is stepped *in place*, never moved.
+//! With [`ClusterConfig::with_cluster_threads`] above 1, the slot vector
+//! splits into fixed contiguous shards, one scoped thread each; the scope
+//! join is the round's barrier. **Phase B (merge)**: back on the calling
+//! thread, the per-slot results (step progress plus freshly preempted
 //! victims) are folded **in deployment-index order** — stall detection,
 //! victim re-routing, cross-deployment migration, elastic lifecycle
 //! transitions and autoscale decisions all happen here, serially.
+//!
+//! # Run-ahead to the next routing point
+//!
+//! A round of the elastic engine is always one step: its autoscaler and
+//! drain read the fleet every step. The fixed [`ClusterEngine`] couples
+//! deployments only through routing — arrivals, plus the victims of
+//! preempting policies — so when no deployment's policy
+//! [`may_preempt`](crate::SchedulingPolicy::may_preempt), phase A runs
+//! each deployment ahead from its own step cursor up to the *horizon*:
+//! the next arrival's step, or unbounded once the trace is exhausted
+//! (the Chandy–Misra conservative lookahead). Rounds then visit the
+//! lowest cursor only and reproduce the one-step loop exactly — a
+//! `Stalled` step halts a deployment until its round decides between a
+//! retry and a jump, every deployment sits exactly at the horizon when
+//! the router reads it, and errors surface at the lowest (step,
+//! deployment). On an offline trace, where every request arrives at step
+//! 0, each deployment runs to completion in one round.
 //!
 //! # Determinism
 //!
 //! The two-phase split is the determinism contract: every routing
 //! decision, migration, trace event and report field depends only on
 //! the phase-B fold, whose inputs and order are independent of how
-//! phase A was scheduled. A run is therefore **bit-identical at any
+//! phase A was scheduled and of how far each deployment ran ahead. A run is therefore **bit-identical at any
 //! `cluster_threads` value** — same [`ClusterReport`], same
 //! [`ElasticReport`], same event-stream FNV — and threads only change
 //! wall-clock time. Likewise the copy-on-write shared warm-start

@@ -1,11 +1,11 @@
-//! The cluster engine: N independent deployments advanced in lockstep
-//! under one global arrival cursor, with dispatch through a
-//! [`RoutingPolicy`].
+//! The cluster engine: N independent deployments advanced under one
+//! global arrival cursor, with dispatch through a [`RoutingPolicy`].
 //!
-//! Each lockstep iteration runs in **two phases**: phase A fans every
-//! deployment-with-work's serving iteration out over a persistent
-//! [`hilos_accel::Fanout`] pool (each worker mutates only the one
-//! deployment it holds), then phase B merges the per-slot results — step
+//! Each round runs in **two phases**: phase A ([`advance_slots`]) steps
+//! every deployment with work *in place* — inline, or over fixed
+//! contiguous shards of the slot vector, one scoped thread each, the
+//! scope join being the round's barrier — and each slot touches only its
+//! own engine and state. Phase B merges the per-slot results — step
 //! progress and freshly preempted migration offers — back **in
 //! deployment-index order** on the driving thread, where all routing,
 //! migration and stall decisions are made. Because phase A is
@@ -17,27 +17,188 @@ use super::elastic::LifecycleState;
 use super::policy::{ClusterSnapshot, DeploymentView, RouteRequest, RoutingPolicy};
 use super::report::ClusterReport;
 use crate::runner::CoreError;
-use crate::serve::engine::{QueueEntry, RunState, SharedStepCache, StepProgress};
+use crate::serve::engine::{check_sorted, QueueEntry, RunState, SharedStepCache, StepProgress};
 use crate::serve::ServeEngine;
-use hilos_accel::with_fanout;
 use hilos_llm::{DeploymentId, Request};
 use hilos_trace::EventKind;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One deployment's engine plus its live run state — the unit phase A
-/// moves to a fan-out worker and back. `Option`-wrapped in the driver so
-/// a slot can be checked out for its iteration and checked back in.
-pub(crate) type Slot = (ServeEngine, RunState);
+/// How a slot's last phase-A run ended.
+#[derive(Debug)]
+enum Halt {
+    /// Every step before the cursor made progress; the slot stopped at
+    /// its horizon or ran out of work.
+    Ran,
+    /// The step at the cursor returned [`StepProgress::Stalled`]; the
+    /// round that reaches it decides whether the slot retries at the
+    /// next step or the cluster jumps to the next arrival.
+    Stalled,
+    /// The step at the cursor failed.
+    Failed(CoreError),
+}
+
+/// One deployment's engine plus its live run state, stepped in place by
+/// phase A and never moved for the whole run.
+#[derive(Debug)]
+pub(crate) struct Slot {
+    pub(crate) eng: ServeEngine,
+    pub(crate) st: RunState,
+    /// The next step this slot executes — or, unless `halt` is
+    /// [`Halt::Ran`], the step whose result awaits its round.
+    cursor: u64,
+    halt: Halt,
+    /// Victims the slot's last step preempted, offered to the router in
+    /// phase B.
+    pub(crate) moved: Vec<QueueEntry>,
+}
+
+impl Slot {
+    pub(crate) fn new(eng: ServeEngine) -> Self {
+        let st = eng.new_run_state();
+        Slot { eng, st, cursor: 0, halt: Halt::Ran, moved: Vec::new() }
+    }
+
+    /// Executes steps `from, from + 1, …` until the slot runs out of
+    /// work, reaches `horizon`, stalls or fails. Nothing outside the
+    /// slot is read or written — the determinism contract.
+    fn run_ahead(&mut self, from: u64, horizon: u64) {
+        self.cursor = from;
+        loop {
+            self.st.step = self.cursor;
+            let progress = match self.eng.advance_once(&mut self.st) {
+                Ok(p) => p,
+                Err(e) => {
+                    self.halt = Halt::Failed(e);
+                    return;
+                }
+            };
+            if progress == StepProgress::Stalled {
+                self.halt = Halt::Stalled;
+            } else {
+                self.cursor += 1;
+                if self.cursor < horizon && self.st.has_work() {
+                    // Run-ahead spans several steps only when no
+                    // policy preempts: there is no victim to offer.
+                    debug_assert!(
+                        self.st.just_preempted.is_empty(),
+                        "a policy that may not preempt preempted"
+                    );
+                    continue;
+                }
+            }
+            self.moved = self.st.drain_just_preempted();
+            return;
+        }
+    }
+}
+
+/// Phase A of round `g`: every slot with work whose cursor has come runs
+/// ahead in place from step `g` toward `horizon` — exactly one step when
+/// `horizon == g + 1`. With `threads > 1` the slots split into fixed
+/// contiguous shards, one scoped thread each; the scope join is the
+/// round's barrier, and a panic on any shard re-raises here.
+pub(crate) fn advance_slots(slots: &mut [Slot], g: u64, horizon: u64, threads: usize) {
+    let run = |slot: &mut Slot| {
+        if slot.st.has_work() && matches!(slot.halt, Halt::Ran) && slot.cursor <= g {
+            slot.run_ahead(g, horizon);
+        }
+    };
+    if threads <= 1 {
+        slots.iter_mut().for_each(run);
+        return;
+    }
+    let mut shards = slots.chunks_mut(slots.len().div_ceil(threads));
+    let first = shards.next().expect("a cluster has at least one slot");
+    std::thread::scope(|scope| {
+        for shard in shards {
+            scope.spawn(move || shard.iter_mut().for_each(run));
+        }
+        first.iter_mut().for_each(run);
+    });
+}
+
+/// Phase B's progress fold for round `g`, in deployment order: the
+/// lowest-indexed failure at step `g` surfaces as the error; otherwise
+/// returns whether every slot that executed step `g` stalled there. A
+/// slot whose cursor is past `g` made progress at `g`. Stalled slots are
+/// released to run again from the driver's next round.
+pub(crate) fn settle_round(slots: &mut [Slot], g: u64) -> Result<bool, CoreError> {
+    let mut progressed = false;
+    for slot in slots.iter_mut() {
+        if slot.cursor > g {
+            progressed = true;
+        } else if slot.cursor == g {
+            match std::mem::replace(&mut slot.halt, Halt::Ran) {
+                Halt::Failed(e) => return Err(e),
+                Halt::Stalled | Halt::Ran => {}
+            }
+        }
+    }
+    Ok(!progressed)
+}
+
+/// The step of the next round after `g`: the lowest cursor of any slot
+/// with work or an unsettled result, never before `g + 1` nor past
+/// `horizon`.
+fn next_round(slots: &[Slot], g: u64, horizon: u64) -> u64 {
+    slots
+        .iter()
+        .filter(|s| s.st.has_work() || !matches!(s.halt, Halt::Ran))
+        .map(|s| s.cursor.max(g + 1))
+        .min()
+        .unwrap_or(horizon)
+        .min(horizon)
+}
+
+/// Re-queues a routed victim on slot `target`. When the router moved it
+/// off slot `from`, its parked demoted KV is dropped at the source, its
+/// timestamps are re-based onto the target's clock and a `Migrated`
+/// event lands on the target.
+pub(crate) fn hand_over(slots: &mut [Slot], from: usize, target: usize, mut entry: QueueEntry) {
+    if target != from {
+        // Demoted KV is parked in the *source* deployment's ladder; a
+        // migrated victim cannot recall it from another deployment —
+        // drop it there and let the target recompute (booked as wasted
+        // prefill).
+        let src = &mut slots[from];
+        src.eng.forget_demoted(&mut src.st, entry.req.id);
+        let from_clock = src.st.clock;
+        // Deployment clocks are independent busy-time axes (idle gaps
+        // are skipped, so they diverge freely); an absolute timestamp
+        // from one domain is meaningless in another. Re-base the entry's
+        // timestamps by the clock delta so the *durations* accrued so
+        // far survive the move — TTFT/e2e then sum busy time spent on
+        // each deployment, stay non-negative, and keep
+        // `first_token_s <= finished_s`.
+        let shift = slots[target].st.clock - from_clock;
+        entry.arrival_s += shift;
+        entry.first_token_s = entry.first_token_s.map(|t| t + shift);
+        entry.first_admitted_s = entry.first_admitted_s.map(|t| t + shift);
+        slots[target].st.emit(
+            DeploymentId(target as u32),
+            entry.req.id,
+            EventKind::Migrated {
+                from: from as u32,
+                arrival_s: entry.arrival_s,
+                first_token_s: entry.first_token_s.unwrap_or(0.0),
+                emitted: entry.emitted,
+            },
+        );
+    }
+    let t = &mut slots[target];
+    t.eng.requeue(&mut t.st, entry);
+}
 
 /// Cluster-execution knobs, shared by [`ClusterEngine`] and the elastic
 /// engine (via
 /// [`ElasticConfig::cluster`](super::elastic::ElasticConfig::cluster)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
-    /// Worker threads for the phase-A lockstep fan-out. `1` (the
-    /// default) advances deployments inline on the driving thread; any
-    /// value produces bit-identical reports and trace streams.
+    /// Threads stepping phase A, each over a fixed contiguous shard of
+    /// the deployments. `1` (the default) steps them inline on the
+    /// driving thread; any value produces bit-identical reports and
+    /// trace streams.
     pub cluster_threads: usize,
     /// Share one step/prefill memo table among deployments with
     /// identical system fingerprints (on by default), so the fleet pays
@@ -61,7 +222,7 @@ impl ClusterConfig {
         ClusterConfig::default()
     }
 
-    /// Sets the lockstep fan-out width (clamped to at least 1).
+    /// Sets the phase-A thread count (clamped to at least 1).
     #[must_use]
     pub fn with_cluster_threads(mut self, threads: usize) -> Self {
         self.cluster_threads = threads.max(1);
@@ -109,37 +270,83 @@ pub(crate) fn provisioning_cost(eng: &ServeEngine) -> (f64, f64) {
     (hilos_metrics::hourly_cost_usd(spec.total_price_usd(), power_w), power_w)
 }
 
-/// One deployment's routing view — the single construction point shared
-/// by the fixed [`ClusterEngine`] (always
+/// One slot's routing view, built once per run and then kept current by
+/// [`refresh_view`] — shared by the fixed [`ClusterEngine`] (always
 /// [`Active`](LifecycleState::Active)) and the elastic engine (which
 /// passes each slot's actual lifecycle state).
-pub(crate) fn deployment_view(
-    eng: &ServeEngine,
-    st: &RunState,
-    dispatched: u64,
-    lifecycle: LifecycleState,
-    cost: (f64, f64),
-) -> DeploymentView {
-    let ledger = eng.ledger();
-    DeploymentView {
-        id: eng.deployment().0,
-        queued: st.queued_len(),
-        prefilling: st.prefilling_len(),
-        decoding: st.decoding_len(),
-        max_batch: eng.config().max_batch,
-        clock_s: st.clock,
-        pressure: ledger.pressure(),
-        device_pressure: ledger.pressure_by_device(),
-        placeable_free_bytes: ledger.placeable_free(),
-        bandwidth_weight: ledger.total_weight(),
+pub(crate) fn deployment_view(slot: &Slot, cost: (f64, f64)) -> DeploymentView {
+    let ledger = slot.eng.ledger();
+    let mut view = DeploymentView {
+        id: slot.eng.deployment().0,
+        queued: 0,
+        prefilling: 0,
+        decoding: 0,
+        max_batch: slot.eng.config().max_batch,
+        clock_s: 0.0,
+        pressure: 0.0,
+        device_pressure: Vec::with_capacity(ledger.device_count()),
+        placeable_free_bytes: 0,
+        bandwidth_weight: 0.0,
         device_count: ledger.device_count(),
-        dispatched,
-        prefill_backlog_tokens: st.prefill_backlog_tokens(),
-        prefix_hit_rate: eng.prefix_hit_rate(),
-        lifecycle,
+        dispatched: 0,
+        prefill_backlog_tokens: 0,
+        prefix_hit_rate: 0.0,
+        lifecycle: LifecycleState::Active,
         hourly_cost_usd: cost.0,
         active_power_w: cost.1,
+    };
+    refresh_view(&mut view, slot, 0, LifecycleState::Active);
+    view
+}
+
+/// Re-reads a slot's live state into its routing view in place; the
+/// per-device pressure vector keeps its allocation.
+pub(crate) fn refresh_view(
+    view: &mut DeploymentView,
+    slot: &Slot,
+    dispatched: u64,
+    lifecycle: LifecycleState,
+) {
+    let (eng, st) = (&slot.eng, &slot.st);
+    let ledger = eng.ledger();
+    view.queued = st.queued_len();
+    view.prefilling = st.prefilling_len();
+    view.decoding = st.decoding_len();
+    view.clock_s = st.clock;
+    view.pressure = ledger.pressure();
+    view.device_pressure.clear();
+    view.device_pressure.extend((0..ledger.device_count()).map(|i| ledger.device_pressure(i)));
+    view.placeable_free_bytes = ledger.placeable_free();
+    view.bandwidth_weight = ledger.total_weight();
+    view.dispatched = dispatched;
+    view.prefill_backlog_tokens = st.prefill_backlog_tokens();
+    view.prefix_hit_rate = eng.prefix_hit_rate();
+    view.lifecycle = lifecycle;
+}
+
+/// Re-reads every slot into its routing view, in place.
+pub(crate) fn refresh_views(
+    views: &mut [DeploymentView],
+    slots: &[Slot],
+    dispatched: &[u64],
+    lifecycle: impl Fn(usize) -> LifecycleState,
+) {
+    for (d, view) in views.iter_mut().enumerate() {
+        refresh_view(view, &slots[d], dispatched[d], lifecycle(d));
     }
+}
+
+/// Asks the routing policy for a target over the current views,
+/// validating out-of-range answers ([`clamp_route`]).
+pub(crate) fn route_views(
+    routing: &mut dyn RoutingPolicy,
+    views: &[DeploymentView],
+    step: u64,
+    request: RouteRequest,
+    misrouted: &mut u64,
+) -> usize {
+    let snapshot = ClusterSnapshot { step, deployments: views };
+    clamp_route(routing.route(&request, &snapshot), views.len(), misrouted)
 }
 
 /// A multi-deployment cluster: one trace balanced across heterogeneous
@@ -156,8 +363,9 @@ pub(crate) fn deployment_view(
 ///
 /// # Time
 ///
-/// Deployments advance in lockstep — one serving iteration each per
-/// global step — but keep their own simulated clocks, which only move
+/// Deployments advance as if in lockstep — one serving iteration each
+/// per global step (see the run-ahead on [`ClusterEngine::run_trace`])
+/// — but keep their own simulated clocks, which only move
 /// under work (the single-deployment engine's semantics: idle time is
 /// skipped, not simulated). A cluster of one deployment is therefore
 /// *bit-identical* to [`ServeEngine::run_trace`] on the same system,
@@ -169,10 +377,10 @@ pub(crate) fn deployment_view(
 ///
 /// # Determinism
 ///
-/// One lockstep iteration is two phases: deployments with work advance
-/// concurrently over the fan-out pool (phase A — each worker owns
-/// exactly one deployment's engine and state), and their step progress
-/// plus preemption-migration offers are merged serially in
+/// One round is two phases: deployments with work step in place,
+/// concurrently over fixed shards when `cluster_threads > 1` (phase A —
+/// each deployment touches only its own engine and state), and their
+/// step progress plus preemption-migration offers are merged serially in
 /// deployment-index order (phase B — where every routing and migration
 /// decision happens). Reports, golden FNV pins and traced event streams
 /// are therefore bit-identical at any `cluster_threads`; the thread
@@ -269,141 +477,95 @@ impl ClusterEngine {
         &self.engines
     }
 
-    /// Builds the read-only per-deployment views and asks the routing
-    /// policy for a target, validating out-of-range answers
-    /// ([`clamp_route`]).
-    fn route_slots(
-        routing: &mut dyn RoutingPolicy,
-        slots: &[Option<Slot>],
-        dispatched: &[u64],
-        costs: &[(f64, f64)],
-        step: u64,
-        request: RouteRequest,
-        misrouted: &mut u64,
-    ) -> usize {
-        let views: Vec<DeploymentView> = slots
-            .iter()
-            .zip(dispatched.iter().zip(costs))
-            .map(|(slot, (&d, &cost))| {
-                let (eng, st) = slot.as_ref().expect("slot checked in between iterations");
-                // A fixed fleet is permanently Active — the lifecycle
-                // field only varies under the elastic engine.
-                deployment_view(eng, st, d, LifecycleState::Active, cost)
-            })
-            .collect();
-        let snapshot = ClusterSnapshot { step, deployments: &views };
-        clamp_route(routing.route(&request, &snapshot), slots.len(), misrouted)
-    }
-
     /// Serves a trace of requests (sorted by `arrival_step`) across the
     /// cluster to completion.
     ///
-    /// Each global step: (1) arrivals whose step has come are dispatched
-    /// through the routing policy to a deployment's admission queue, at
-    /// that deployment's clock; (2) **phase A** — every deployment with
-    /// work runs one serving iteration ([scheduling → join → decode →
-    /// eviction](crate::serve)) concurrently over the fan-out pool, each
-    /// worker mutating only the deployment it holds; (3) **phase B** —
-    /// per-slot results merge back in deployment-index order: requests a
-    /// scheduling policy preempted this iteration are offered back to
-    /// the *router*, which may re-dispatch them — progress retained —
-    /// onto a less-pressured deployment. Phase B's routing sees every
-    /// deployment post-advance, so its decisions (and the whole run) are
-    /// independent of the fan-out width.
+    /// Each round at global step `g`: (1) arrivals whose step has come
+    /// are dispatched through the routing policy to a deployment's
+    /// admission queue, at that deployment's clock; (2) **phase A** —
+    /// every deployment with work steps in place ([scheduling → join →
+    /// decode → eviction](crate::serve)), touching only its own state;
+    /// (3) **phase B** — per-slot results merge back in deployment-index
+    /// order: requests a scheduling policy preempted this iteration are
+    /// offered back to the *router*, which may re-dispatch them —
+    /// progress retained — onto a less-pressured deployment. Phase B's
+    /// routing sees every deployment post-advance, so its decisions (and
+    /// the whole run) are independent of the thread count.
+    ///
+    /// # Run-ahead
+    ///
+    /// Deployments interact only through routing: arrivals, plus the
+    /// victims of preempting policies. When no deployment's policy
+    /// [`may_preempt`](crate::SchedulingPolicy::may_preempt), phase A
+    /// runs each deployment ahead from its own step cursor up to the
+    /// horizon — the next arrival's step, or unbounded once the trace is
+    /// exhausted (conservative lookahead). Rounds then visit only the
+    /// lowest cursor, which reproduces the one-step-per-round loop
+    /// exactly: a `Stalled` step ends a deployment's run-ahead until its
+    /// round decides between a retry and a jump to the next arrival, a
+    /// deployment already past the round counts as having progressed at
+    /// it, every deployment sits exactly at the horizon when the router
+    /// sees it, and an error surfaces at the lowest (step, deployment).
+    /// With a preempting policy anywhere, every round is one step.
     ///
     /// # Errors
     ///
-    /// Propagates simulation errors, or [`CoreError::SchedulerStalled`]
-    /// if every deployment with queued work holds it forever with nothing
-    /// in flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is not sorted by arrival step.
+    /// Returns [`CoreError::UnsortedTrace`] if the trace is not sorted by
+    /// arrival step. Propagates simulation errors, or
+    /// [`CoreError::SchedulerStalled`] if every deployment with queued
+    /// work holds it forever with nothing in flight.
     pub fn run_trace(&mut self, trace: &[Request]) -> Result<ClusterReport, CoreError> {
-        assert!(
-            trace.windows(2).all(|w| w[0].arrival_step <= w[1].arrival_step),
-            "trace must be sorted by arrival step"
-        );
+        check_sorted(trace)?;
         let n = self.engines.len();
         let threads = self.config.cluster_threads.min(n);
-        let mut slots: Vec<Option<Slot>> = std::mem::take(&mut self.engines)
-            .into_iter()
-            .map(|e| {
-                let st = e.new_run_state();
-                Some((e, st))
-            })
-            .collect();
+        let lookahead = !self.engines.iter().any(ServeEngine::may_preempt);
+        let mut slots: Vec<Slot> =
+            std::mem::take(&mut self.engines).into_iter().map(Slot::new).collect();
+        let mut views: Vec<DeploymentView> =
+            slots.iter().zip(&self.costs).map(|(s, &cost)| deployment_view(s, cost)).collect();
         let mut dispatched = vec![0u64; n];
         let mut redispatches = 0u64;
         let mut misrouted = 0u64;
+        // A fixed fleet is permanently Active — the lifecycle field only
+        // varies under the elastic engine.
+        let active = LifecycleState::Active;
 
-        // Phase A's unit of work: one deployment's serving iteration,
-        // plus the drain of its freshly preempted victims. Touches only
-        // the slot it is handed — the determinism contract.
-        let advance =
-            |_d: usize, slot: &mut Slot| -> (Result<StepProgress, CoreError>, Vec<QueueEntry>) {
-                let (eng, st) = slot;
-                match eng.advance_once(st) {
-                    Ok(p) => (Ok(p), st.drain_just_preempted()),
-                    Err(e) => (Err(e), Vec::new()),
-                }
-            };
-
-        let run: Result<(), CoreError> = with_fanout(threads, advance, |pool| {
+        let run = (|| -> Result<(), CoreError> {
             let mut idx = 0usize;
-            let mut gstep = 0u64;
-            // Per-slot phase-A results, merged in deployment order.
-            let mut results: Vec<Option<(Result<StepProgress, CoreError>, Vec<QueueEntry>)>> =
-                (0..n).map(|_| None).collect();
+            let mut g = 0u64;
             loop {
-                // 1: dispatch arrivals up to the global serving step.
-                while idx < trace.len() && trace[idx].arrival_step <= gstep {
+                // 1: dispatch arrivals up to the global step. No
+                // deployment has run past it, so the views are exact.
+                if trace.get(idx).is_some_and(|r| r.arrival_step <= g) {
+                    refresh_views(&mut views, &slots, &dispatched, |_| active);
+                }
+                while idx < trace.len() && trace[idx].arrival_step <= g {
                     let req = trace[idx];
-                    let view = RouteRequest::of(&req, 0, false);
-                    let d = Self::route_slots(
-                        self.routing.as_mut(),
-                        &slots,
-                        &dispatched,
-                        &self.costs,
-                        gstep,
-                        view,
-                        &mut misrouted,
-                    );
+                    let request = RouteRequest::of(&req, 0, false);
+                    let d = route_views(self.routing.as_mut(), &views, g, request, &mut misrouted);
                     dispatched[d] += 1;
-                    let (eng, st) = slots[d].as_mut().expect("slot checked in");
-                    st.emit(DeploymentId(d as u32), req.id, EventKind::Routed);
-                    eng.enqueue_arrival(st, req);
+                    let slot = &mut slots[d];
+                    slot.st.emit(DeploymentId(d as u32), req.id, EventKind::Routed);
+                    slot.eng.enqueue_arrival(&mut slot.st, req);
+                    refresh_view(&mut views[d], slot, dispatched[d], active);
                     idx += 1;
                 }
+                let next_arrival = trace.get(idx).map_or(u64::MAX, |r| r.arrival_step);
                 // Fully idle everywhere with traffic still ahead: jump
                 // the global cursor to the next arrival.
-                let any_work =
-                    slots.iter().any(|s| s.as_ref().expect("slot checked in").1.has_work());
-                if !any_work {
+                if !slots.iter().any(|s| s.st.has_work()) {
                     if idx >= trace.len() {
                         break;
                     }
-                    gstep = trace[idx].arrival_step;
+                    g = next_arrival;
                     continue;
                 }
 
-                // 2 / phase A: check every deployment with work out to
-                // the pool for one lockstep serving iteration.
-                let batch: Vec<(usize, Slot)> = (0..n)
-                    .filter_map(|d| {
-                        if !slots[d].as_ref().expect("slot checked in").1.has_work() {
-                            return None;
-                        }
-                        let mut s = slots[d].take().expect("slot checked in");
-                        s.1.step = gstep;
-                        Some((d, s))
-                    })
-                    .collect();
-                for (d, s, out) in pool.run(batch) {
-                    slots[d] = Some(s);
-                    results[d] = Some(out);
-                }
+                // 2 / phase A: step every deployment whose cursor has
+                // come, in place — ahead to the next arrival when no
+                // policy preempts, one step otherwise.
+                let horizon = if lookahead { next_arrival } else { g + 1 };
+                advance_slots(&mut slots, g, horizon, threads);
 
                 // 3 / phase B: merge in deployment-index order — freshly
                 // preempted victims go back through the router (their
@@ -411,65 +573,22 @@ impl ClusterEngine {
                 // on the same deployment is a no-op, so a router that
                 // keeps them local preserves single-engine behavior
                 // exactly).
-                let mut all_stalled = true;
+                let all_stalled = settle_round(&mut slots, g)?;
+                if slots.iter().any(|s| !s.moved.is_empty()) {
+                    refresh_views(&mut views, &slots, &dispatched, |_| active);
+                }
                 for d in 0..n {
-                    let Some((res, moved)) = results[d].take() else {
-                        continue;
-                    };
-                    let progress = res?;
-                    if progress != StepProgress::Stalled {
-                        all_stalled = false;
-                    }
-                    for mut entry in moved {
-                        let view = RouteRequest::of(&entry.req, entry.emitted, true);
-                        let target = Self::route_slots(
-                            self.routing.as_mut(),
-                            &slots,
-                            &dispatched,
-                            &self.costs,
-                            gstep,
-                            view,
-                            &mut misrouted,
-                        );
+                    for entry in std::mem::take(&mut slots[d].moved) {
+                        let request = RouteRequest::of(&entry.req, entry.emitted, true);
+                        let target =
+                            route_views(self.routing.as_mut(), &views, g, request, &mut misrouted);
                         if target != d {
                             redispatches += 1;
-                            // Demoted KV is parked in the *source*
-                            // deployment's ladder; a migrated victim
-                            // cannot recall it from another deployment —
-                            // drop it there and let the target recompute
-                            // (booked as wasted prefill).
-                            {
-                                let (eng, st) = slots[d].as_mut().expect("slot checked in");
-                                eng.forget_demoted(st, entry.req.id);
-                            }
-                            // Deployment clocks are independent busy-time
-                            // axes (idle gaps are skipped, so they diverge
-                            // freely); an absolute timestamp from one
-                            // domain is meaningless in another. Re-base
-                            // the entry's timestamps by the clock delta so
-                            // the *durations* accrued so far survive the
-                            // move — TTFT/e2e then sum busy time spent on
-                            // each deployment, stay non-negative, and keep
-                            // `first_token_s <= finished_s`.
-                            let from_clock = slots[d].as_ref().expect("slot checked in").1.clock;
-                            let (_, st_t) = slots[target].as_mut().expect("slot checked in");
-                            let shift = st_t.clock - from_clock;
-                            entry.arrival_s += shift;
-                            entry.first_token_s = entry.first_token_s.map(|t| t + shift);
-                            entry.first_admitted_s = entry.first_admitted_s.map(|t| t + shift);
-                            st_t.emit(
-                                DeploymentId(target as u32),
-                                entry.req.id,
-                                EventKind::Migrated {
-                                    from: d as u32,
-                                    arrival_s: entry.arrival_s,
-                                    first_token_s: entry.first_token_s.unwrap_or(0.0),
-                                    emitted: entry.emitted,
-                                },
-                            );
                         }
-                        let (eng, st) = slots[target].as_mut().expect("slot checked in");
-                        eng.requeue(st, entry);
+                        hand_over(&mut slots, d, target, entry);
+                        for t in [d, target] {
+                            refresh_view(&mut views[t], &slots[t], dispatched[t], active);
+                        }
                     }
                 }
                 // Every working deployment stalled (policies holding
@@ -478,30 +597,20 @@ impl ClusterEngine {
                 // exhausted.
                 if all_stalled {
                     if idx >= trace.len() {
-                        return Err(CoreError::SchedulerStalled {
-                            queued: slots
-                                .iter()
-                                .map(|s| s.as_ref().expect("slot checked in").1.queued_len())
-                                .sum(),
-                        });
+                        let queued = slots.iter().map(|s| s.st.queued_len()).sum();
+                        return Err(CoreError::SchedulerStalled { queued });
                     }
-                    gstep = trace[idx].arrival_step;
+                    g = next_arrival;
                     continue;
                 }
-                gstep += 1;
+                g = next_round(&slots, g, next_arrival);
             }
             Ok(())
-        });
+        })();
 
-        // Check every slot back into the engine before surfacing any
-        // error — a failed run must not eat the deployments.
-        let mut engines = Vec::with_capacity(n);
-        let mut states = Vec::with_capacity(n);
-        for s in slots {
-            let (eng, st) = s.expect("every slot checked back in");
-            engines.push(eng);
-            states.push(st);
-        }
+        // Hand the engines back before surfacing any error — a failed
+        // run must not eat the deployments.
+        let (engines, states): (Vec<_>, Vec<_>) = slots.into_iter().map(|s| (s.eng, s.st)).unzip();
         self.engines = engines;
         run?;
 

@@ -51,6 +51,13 @@ pub enum CoreError {
         /// Requests stuck in the admission queue.
         queued: usize,
     },
+    /// A trace handed to a `run_trace` entry point is not sorted by
+    /// arrival step.
+    UnsortedTrace {
+        /// Position of the first request that arrives before its
+        /// predecessor.
+        index: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -73,6 +80,9 @@ impl fmt::Display for CoreError {
             CoreError::Platform(e) => write!(f, "platform error: {e}"),
             CoreError::SchedulerStalled { queued } => {
                 write!(f, "scheduling policy stalled with {queued} queued requests")
+            }
+            CoreError::UnsortedTrace { index } => {
+                write!(f, "trace is not sorted by arrival step (request {index} arrives early)")
             }
         }
     }

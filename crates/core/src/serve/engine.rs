@@ -512,17 +512,39 @@ impl RunState {
         self.just_preempted.push(r.req.id);
     }
 
-    /// Removes the entries named by `just_preempted` from the queue (they
-    /// are its tail, in order) and returns them for cross-deployment
-    /// re-dispatch. Clears the marker list.
+    /// Splits the entries named by `just_preempted` off the queue tail
+    /// (they are its last entries, in order — [`RunState::take_queued`]
+    /// keeps it so) and returns them for cross-deployment re-dispatch.
+    /// Clears the marker list.
     pub(crate) fn drain_just_preempted(&mut self) -> Vec<QueueEntry> {
-        let mut moved = Vec::with_capacity(self.just_preempted.len());
-        for id in std::mem::take(&mut self.just_preempted) {
-            if let Some(pos) = self.queue.iter().position(|q| q.req.id == id) {
-                moved.push(self.queue.remove(pos).expect("position came from a live scan"));
-            }
-        }
+        let tail = self.queue.len() - self.just_preempted.len();
+        let moved: Vec<QueueEntry> = self.queue.drain(tail..).collect();
+        debug_assert!(
+            moved.iter().map(|q| q.req.id).eq(self.just_preempted.iter().copied()),
+            "preemption victims must be the queue tail, in order"
+        );
+        self.just_preempted.clear();
         moved
+    }
+
+    /// Removes the queued entry at `pos`. A victim re-admitted or dropped
+    /// in the step that preempted it leaves `just_preempted` with it, so
+    /// the marked victims stay exactly the queue's tail.
+    fn take_queued(&mut self, pos: usize) -> QueueEntry {
+        let tail = self.queue.len() - self.just_preempted.len();
+        if pos >= tail {
+            self.just_preempted.remove(pos - tail);
+        }
+        self.queue.remove(pos).expect("queued position in range")
+    }
+}
+
+/// Checks that `trace` is sorted by arrival step, naming the first
+/// request that arrives before its predecessor.
+pub(crate) fn check_sorted(trace: &[Request]) -> Result<(), CoreError> {
+    match trace.windows(2).position(|w| w[1].arrival_step < w[0].arrival_step) {
+        Some(i) => Err(CoreError::UnsortedTrace { index: i + 1 }),
+        None => Ok(()),
     }
 }
 
@@ -627,6 +649,12 @@ impl ServeEngine {
     /// The per-device shard ledger (admission state).
     pub fn ledger(&self) -> &KvShardLedger {
         &self.ledger
+    }
+
+    /// Whether the scheduling policy may ever preempt
+    /// ([`SchedulingPolicy::may_preempt`]).
+    pub(crate) fn may_preempt(&self) -> bool {
+        self.policy.may_preempt()
     }
 
     /// The active scheduling policy's name.
@@ -1285,7 +1313,7 @@ impl ServeEngine {
                     if q.emitted > 0 || q.arrival_s + q.req.slo.deadline_s() > st.clock {
                         continue;
                     }
-                    let entry = st.queue.remove(pos).expect("position came from a live scan");
+                    let entry = st.take_queued(pos);
                     self.forget_demoted(st, entry.req.id);
                     st.shed.push(ShedOutcome {
                         id: entry.req.id,
@@ -1348,7 +1376,7 @@ impl ServeEngine {
                     if footprint > self.max_placeable {
                         self.forget_demoted(st, entry.req.id);
                         drop_unplaceable(entry, &mut st.outcomes, &mut st.rejected, st.clock);
-                        st.queue.remove(pos);
+                        st.take_queued(pos);
                         if entry.emitted > 0 {
                             st.emit(
                                 deployment,
@@ -1379,7 +1407,7 @@ impl ServeEngine {
                                     &mut st.rejected,
                                     st.clock,
                                 );
-                                st.queue.remove(pos);
+                                st.take_queued(pos);
                                 if entry.emitted > 0 {
                                     st.emit(
                                         deployment,
@@ -1396,7 +1424,7 @@ impl ServeEngine {
                             break 'decisions;
                         }
                     }
-                    st.queue.remove(pos);
+                    st.take_queued(pos);
                     // A re-admitted preemption victim re-materializes the
                     // KV of its generated progress too.
                     let pf_ctx = entry.req.prompt_len + entry.emitted;
@@ -1744,18 +1772,12 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Propagates simulation errors, or [`CoreError::SchedulerStalled`]
-    /// if the policy holds queued requests forever with nothing in
-    /// flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is not sorted by arrival step.
+    /// Returns [`CoreError::UnsortedTrace`] if the trace is not sorted by
+    /// arrival step. Propagates simulation errors, or
+    /// [`CoreError::SchedulerStalled`] if the policy holds queued
+    /// requests forever with nothing in flight.
     pub fn run_trace(&mut self, trace: &[Request]) -> Result<TraceReport, CoreError> {
-        assert!(
-            trace.windows(2).all(|w| w[0].arrival_step <= w[1].arrival_step),
-            "trace must be sorted by arrival step"
-        );
+        check_sorted(trace)?;
         let mut st = self.new_run_state();
         let mut idx = 0usize;
 
@@ -2125,6 +2147,50 @@ mod tests {
         let off_report = off.run_trace(&trace).unwrap();
         assert_eq!(off_report.preemptions, 0);
         assert_eq!(off_report.outcomes.len(), 32);
+    }
+
+    #[test]
+    fn a_victim_readmitted_in_its_preempting_step_is_not_drained() {
+        // Preempts one decoding request and re-admits it in the same
+        // decision list: the victim leaves the queue tail again, so the
+        // cluster drain must not offer it for re-dispatch.
+        #[derive(Debug)]
+        struct Bounce;
+        impl SchedulingPolicy for Bounce {
+            fn name(&self) -> &'static str {
+                "bounce"
+            }
+            fn schedule(&mut self, snap: &SchedSnapshot<'_>) -> Vec<SchedDecision> {
+                let mut d: Vec<SchedDecision> = snap
+                    .in_flight
+                    .iter()
+                    .filter(|v| v.decoding && v.preemptions == 0)
+                    .take(1)
+                    .flat_map(|v| {
+                        [
+                            SchedDecision::Preempt { victim: v.id },
+                            SchedDecision::Admit { request: v.id },
+                        ]
+                    })
+                    .collect();
+                d.extend(snap.queue.iter().map(|q| SchedDecision::Admit { request: q.id }));
+                d
+            }
+        }
+        let trace = TraceConfig::azure_mix(16, 5).generate().unwrap();
+        let mut eng =
+            ServeEngine::with_policy(system(8), ServeConfig::new(4), Box::new(Bounce)).unwrap();
+        let mut st = eng.new_run_state();
+        for r in &trace {
+            eng.enqueue_arrival(&mut st, *r);
+        }
+        while st.has_work() {
+            assert_ne!(eng.advance_once(&mut st).unwrap(), StepProgress::Stalled);
+            assert!(st.drain_just_preempted().is_empty(), "a re-admitted victim stays local");
+            st.step += 1;
+        }
+        assert!(st.preemptions > 0, "the policy must have preempted");
+        assert_eq!(eng.finish(st).outcomes.len(), 16);
     }
 
     #[test]

@@ -103,8 +103,8 @@ pub enum SchedDecision {
 /// An admission/preemption policy consulted once per serving step.
 ///
 /// `Send` is a supertrait so a deployment (engine + policy) can be
-/// handed to a cluster fan-out worker for its lockstep iteration; every
-/// shipped policy is plain owned data.
+/// stepped on a cluster's phase-A shard thread; every shipped policy is
+/// plain owned data.
 pub trait SchedulingPolicy: fmt::Debug + Send {
     /// Stable policy name, recorded in
     /// [`TraceReport::policy`](super::TraceReport::policy).

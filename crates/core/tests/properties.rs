@@ -3,15 +3,16 @@
 
 use hilos_core::cluster::{
     ClusterConfig, ClusterEngine, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig,
-    JoinShortestQueue, LedgerPressure, RoundRobin, RoutingPolicy, TargetPressureScaler,
+    JoinShortestQueue, LedgerPressure, PinnedFleet, RoundRobin, RoutingPolicy,
+    TargetPressureScaler,
 };
 use hilos_core::trace::{
     check_conservation, events_fnv, prefill_chunk_totals, Event, LatencyAttribution,
 };
 use hilos_core::{
     paper_alpha_mha, spill_nand_bytes_per_token, AlphaModel, AlphaPolicy, ChunkMode, DeadlineEdf,
-    Fifo, HilosConfig, HilosSystem, PrefixCacheConfig, PriorityPreempt, SchedulingPolicy,
-    ServeConfig, ServeEngine, WritebackManager, ALPHA_CANDIDATES,
+    Fifo, HilosConfig, HilosSystem, PrefixCacheConfig, PriorityPreempt, SchedDecision,
+    SchedSnapshot, SchedulingPolicy, ServeConfig, ServeEngine, WritebackManager, ALPHA_CANDIDATES,
 };
 use hilos_llm::{presets, SharedPrefixConfig, TraceConfig};
 use hilos_platform::SystemSpec;
@@ -521,6 +522,115 @@ proptest! {
         for threads in [2usize, 4] {
             prop_assert_eq!(&serial, &run_at(threads), "{} threads drifted from serial", threads);
         }
+    }
+}
+
+/// Test-only FIFO admission gate: admits only on steps that are
+/// multiples of `k`. With nothing in flight the other steps stall, so a
+/// deployment's run-ahead stops and resumes at its round.
+#[derive(Debug)]
+struct StepGated {
+    k: u64,
+}
+
+impl SchedulingPolicy for StepGated {
+    fn name(&self) -> &'static str {
+        "step-gated"
+    }
+
+    fn may_preempt(&self) -> bool {
+        false
+    }
+
+    fn schedule(&mut self, snapshot: &SchedSnapshot<'_>) -> Vec<SchedDecision> {
+        if !snapshot.step.is_multiple_of(self.k) {
+            return Vec::new();
+        }
+        snapshot.queue.iter().map(|q| SchedDecision::Admit { request: q.id }).collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The fixed cluster's run-ahead against a lockstep oracle: the
+    /// elastic engine under [`PinnedFleet`] with every slot Active steps
+    /// one round per step. For online and offline traces, every routing
+    /// policy, both chunk modes, 1 and 2 threads and scheduling policies
+    /// that run ahead (FIFO, EDF, a step-gated stall/resume policy) or
+    /// force lockstep (PriorityPreempt), both give the same result — the
+    /// same [`ClusterReport`] with the same traced event streams, or the
+    /// same error.
+    #[test]
+    fn run_ahead_matches_the_lockstep_oracle(
+        n in 8usize..36,
+        seed in 0u64..1_000_000,
+        offline in 0usize..2,
+        gap in 1u64..24,
+        routing_idx in 0usize..4,
+        sched_idx in 0usize..4,
+        gate in 2u64..5,
+        chunk_idx in 0usize..2,
+        dep_count in 1usize..4,
+        threads in 1usize..3,
+    ) {
+        let gap = if offline == 1 { 0 } else { gap };
+        let trace = TraceConfig { mean_interarrival_steps: gap, ..TraceConfig::azure_mix(n, seed) }
+            .generate()
+            .unwrap();
+        let routing = || -> Box<dyn RoutingPolicy> {
+            match routing_idx {
+                0 => Box::new(RoundRobin::new()),
+                1 => Box::new(JoinShortestQueue),
+                2 => Box::new(LedgerPressure::new()),
+                _ => Box::new(CostNormalizedPressure),
+            }
+        };
+        let deployments = || -> Vec<ServeEngine> {
+            let mut serve_cfg = ServeConfig::new(4).with_tracing(1 << 18);
+            if chunk_idx == 1 {
+                serve_cfg = serve_cfg.with_chunk_mode(ChunkMode::chunked());
+            }
+            (0..dep_count)
+                .map(|d| {
+                    let devices = [8, 6, 4][d];
+                    let sys = HilosSystem::new(
+                        &SystemSpec::a100_smartssd(devices),
+                        &presets::opt_30b(),
+                        &HilosConfig::new(devices),
+                    )
+                    .unwrap()
+                    .with_sim_layers(1);
+                    let policy: Box<dyn SchedulingPolicy> = match sched_idx {
+                        0 => Box::new(Fifo),
+                        1 => Box::new(DeadlineEdf::new()),
+                        2 => Box::new(StepGated { k: gate }),
+                        _ => Box::new(PriorityPreempt::new()),
+                    };
+                    ServeEngine::with_policy(sys, serve_cfg.clone(), policy).unwrap()
+                })
+                .collect()
+        };
+        let config = ClusterConfig::new().with_cluster_threads(threads);
+        let fixed = ClusterEngine::with_config(deployments(), routing(), config).run_trace(&trace);
+        let oracle = ElasticClusterEngine::new(
+            deployments(),
+            routing(),
+            Box::new(PinnedFleet),
+            ElasticConfig { min_active: dep_count, cluster: config, ..ElasticConfig::new(dep_count) },
+        )
+        .run_trace(&trace)
+        .map(|r| r.cluster);
+        if let (Ok(a), Ok(b)) = (&fixed, &oracle) {
+            for (d, (x, y)) in a.deployments.iter().zip(&b.deployments).enumerate() {
+                prop_assert_eq!(x.events_dropped, 0);
+                prop_assert_eq!(
+                    events_fnv(&x.events), events_fnv(&y.events),
+                    "deployment {} event stream drifted from lockstep", d
+                );
+            }
+        }
+        prop_assert_eq!(fixed, oracle, "run-ahead drifted from the lockstep oracle");
     }
 }
 

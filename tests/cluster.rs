@@ -8,7 +8,8 @@ use hilos::core::cluster::{
     RouteRequest, RoutingPolicy,
 };
 use hilos::core::{
-    ChunkMode, ClusterReport, HilosConfig, HilosSystem, PriorityPreempt, ServeConfig, ServeEngine,
+    ChunkMode, ClusterReport, CoreError, HilosConfig, HilosSystem, PriorityPreempt, ServeConfig,
+    ServeEngine,
 };
 use hilos::llm::{presets, DeploymentId, Request, TraceConfig};
 use hilos::platform::SystemSpec;
@@ -369,4 +370,18 @@ fn migrated_victims_finish_on_the_spare_deployment_with_sane_latencies() {
     for eng in cluster.deployments() {
         assert_eq!(eng.ledger().live_requests(), 0);
     }
+}
+
+/// The cluster rejects an unsorted trace with the typed error, before
+/// dispatching anything.
+#[test]
+fn unsorted_trace_is_a_typed_error() {
+    let mut trace = TraceConfig::azure_mix(8, 3).generate().unwrap();
+    for (i, r) in trace.iter_mut().enumerate() {
+        r.arrival_step = i as u64;
+    }
+    trace[6].arrival_step = 1;
+    let mut cluster = ClusterEngine::new(heterogeneous_deployments(), Box::new(RoundRobin::new()));
+    assert_eq!(cluster.run_trace(&trace).unwrap_err(), CoreError::UnsortedTrace { index: 6 });
+    assert_eq!(cluster.deployment_count(), 3, "a rejected trace keeps the deployments");
 }

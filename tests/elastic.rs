@@ -10,7 +10,9 @@ use hilos::core::cluster::{
     FleetSnapshot, HybridHistogramKeepAlive, LedgerPressure, LifecycleState, PinnedFleet,
     RoundRobin, ScaleDecision,
 };
-use hilos::core::{HilosConfig, HilosSystem, PrefixCacheConfig, ServeConfig, ServeEngine};
+use hilos::core::{
+    CoreError, HilosConfig, HilosSystem, PrefixCacheConfig, ServeConfig, ServeEngine,
+};
 use hilos::llm::{presets, TraceConfig};
 use hilos::platform::SystemSpec;
 
@@ -354,4 +356,21 @@ fn elastic_parallel_stepping_is_bit_identical_across_thread_counts() {
     for threads in [2, 4] {
         assert_eq!(serial, drain_at(threads), "{threads}-thread drain run drifted from serial");
     }
+}
+
+/// The elastic engine rejects an unsorted trace with the typed error.
+#[test]
+fn unsorted_trace_is_a_typed_error() {
+    let mut trace = TraceConfig::azure_mix(8, 3).generate().unwrap();
+    for (i, r) in trace.iter_mut().enumerate() {
+        r.arrival_step = 10 * i as u64;
+    }
+    trace[3].arrival_step = 0;
+    let mut elastic = ElasticClusterEngine::new(
+        vec![ServeEngine::new(hilos(8), ServeConfig::new(4)).unwrap()],
+        Box::new(LedgerPressure::new()),
+        Box::new(PinnedFleet),
+        ElasticConfig::new(1),
+    );
+    assert_eq!(elastic.run_trace(&trace).unwrap_err(), CoreError::UnsortedTrace { index: 3 });
 }

@@ -5,8 +5,8 @@
 
 use hilos::baselines::VllmMultiNode;
 use hilos::core::{
-    ChunkMode, DeadlineEdf, DecodeStepExecutor, Fifo, FlowEngineImpl, HilosConfig, HilosSystem,
-    PrefixCacheConfig, PriorityPreempt, SchedulingPolicy, ServeConfig, ServeEngine,
+    ChunkMode, CoreError, DeadlineEdf, DecodeStepExecutor, Fifo, FlowEngineImpl, HilosConfig,
+    HilosSystem, PrefixCacheConfig, PriorityPreempt, SchedulingPolicy, ServeConfig, ServeEngine,
     ServingCampaign, SpillDecision, TraceReport,
 };
 use hilos::llm::{presets, BatchSpec, RequestClass, TraceConfig};
@@ -531,4 +531,17 @@ fn continuous_batching_beats_serial_vllm_on_goodput() {
         h.token_goodput(),
         v.token_goodput()
     );
+}
+
+/// A trace that is not sorted by arrival step is a typed error naming the
+/// first request that arrives before its predecessor — not a panic.
+#[test]
+fn unsorted_trace_is_a_typed_error() {
+    let mut trace = TraceConfig::azure_mix(8, 3).generate().unwrap();
+    for (i, r) in trace.iter_mut().enumerate() {
+        r.arrival_step = i as u64;
+    }
+    trace[5].arrival_step = 2;
+    let mut eng = ServeEngine::new(hilos(8, 1), ServeConfig::new(4)).unwrap();
+    assert_eq!(eng.run_trace(&trace).unwrap_err(), CoreError::UnsortedTrace { index: 5 });
 }
