@@ -59,6 +59,7 @@ mod campaign;
 pub mod cluster;
 mod config;
 mod functional;
+mod fxhash;
 mod middleware;
 mod runner;
 mod scheduler;

@@ -15,6 +15,7 @@
 use super::policy::{Fifo, SchedDecision, SchedulingPolicy};
 use super::snapshot::{InFlightView, QueuedView, SchedSnapshot};
 use super::{RequestOutcome, ShedOutcome, TraceReport};
+use crate::fxhash::FxHashMap;
 use crate::runner::{CoreError, HilosSystem};
 use crate::scheduler::{weight_source, WeightSource};
 use crate::step::{AlphaSelector, DecodeStepExecutor};
@@ -24,7 +25,7 @@ use hilos_metrics::{PrefillBreakdown, PrefixCacheStats};
 use hilos_sim::FlowEngineImpl;
 use hilos_storage::{KvShardLedger, KvTier, KvTierLadder, PrefixCacheIndex, SsdSpec, TierTraffic};
 use hilos_trace::{Event, EventKind, EventRing, NullSink, TraceSink};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, RwLock};
 
 /// Context quantum of the chunk-path prefill memoization. Chunk cursors
@@ -290,6 +291,10 @@ struct InFlight {
     /// Lifetime prefill tokens executed (carried across preemptions;
     /// reported on the outcome).
     prefill_charged: u64,
+    /// Shard-ledger bytes this admission placed: the `footprint` it was
+    /// allocated with (water-filling places exactly that sum), carried
+    /// so the scheduling snapshot reads it without a ledger lookup.
+    placed_bytes: u64,
 }
 
 /// A preemption victim's ingested KV parked in the residency ladder,
@@ -314,9 +319,9 @@ struct PrefixCacheState {
     ladder: KvTierLadder,
     /// Request id → the prefix key it acquired at admission; released on
     /// eviction or preemption (exactly once, the index enforces it).
-    held: HashMap<u64, u64>,
+    held: FxHashMap<u64, u64>,
     /// Request id → preempted-victim KV parked in the ladder.
-    demoted: HashMap<u64, DemotedKv>,
+    demoted: FxHashMap<u64, DemotedKv>,
     /// KV footprint per cached token, from the model.
     bytes_per_token: u64,
 }
@@ -364,8 +369,8 @@ struct CachedStep {
 /// filled an entry first — the cache changes wall-clock, never results.
 #[derive(Debug, Default)]
 pub(crate) struct SharedStepCache {
-    steps: RwLock<HashMap<StepKey, CachedStep>>,
-    prefills: RwLock<HashMap<(u64, u64), f64>>,
+    steps: RwLock<FxHashMap<StepKey, CachedStep>>,
+    prefills: RwLock<FxHashMap<(u64, u64), f64>>,
 }
 
 /// What one call to [`ServeEngine::advance_once`] accomplished — the
@@ -436,8 +441,18 @@ pub(crate) struct RunState {
     /// Cache counter values at run start (the cache outlives runs).
     cache_base: CacheBaseline,
     kv_placed: Vec<f64>,
-    /// Memoized snapshot footprint estimates (see the snapshot build).
-    footprint_estimates: HashMap<u64, u64>,
+    /// Memoized snapshot footprint estimates (see the snapshot build),
+    /// keyed by request id. An entry lives while its request can still
+    /// be scheduled here: it is dropped when the request terminates on
+    /// this deployment (completed, rejected or shed), never at admission
+    /// — a re-queued preemption victim keeps the estimate it had.
+    footprint_estimates: FxHashMap<u64, u64>,
+    /// Run-long scratch buffers of the scheduling snapshot: cleared and
+    /// refilled on every policy call, so after the first few calls
+    /// building a snapshot allocates nothing.
+    queue_views: Vec<QueuedView>,
+    flight_views: Vec<InFlightView>,
+    device_free: Vec<u64>,
     wb: WritebackManager,
     /// Ids preempted by the most recent [`ServeEngine::advance_once`]
     /// call, in preemption order. Victims are re-queued locally (tail of
@@ -565,8 +580,8 @@ pub struct ServeEngine {
     /// Placeable bytes of the empty array (after weight reservations) —
     /// the bound beyond which a request can never be admitted.
     max_placeable: u64,
-    step_cache: HashMap<StepKey, CachedStep>,
-    prefill_cache: HashMap<(u64, u64), f64>,
+    step_cache: FxHashMap<StepKey, CachedStep>,
+    prefill_cache: FxHashMap<(u64, u64), f64>,
     /// Fingerprint-group shared memo tables (`None` outside a cluster or
     /// with warm-start sharing off): when set, it is authoritative and
     /// the local maps above stay empty.
@@ -624,8 +639,8 @@ impl ServeEngine {
                     SsdSpec::smartssd_nvme(),
                     ledger.device_count(),
                 ),
-                held: HashMap::new(),
-                demoted: HashMap::new(),
+                held: FxHashMap::default(),
+                demoted: FxHashMap::default(),
                 bytes_per_token,
             }
         });
@@ -639,8 +654,8 @@ impl ServeEngine {
             model,
             deployment: DeploymentId::default(),
             max_placeable,
-            step_cache: HashMap::new(),
-            prefill_cache: HashMap::new(),
+            step_cache: FxHashMap::default(),
+            prefill_cache: FxHashMap::default(),
             shared_cache: None,
             cache,
         })
@@ -736,6 +751,51 @@ impl ServeEngine {
                 cs.index.hits() as f64 / cs.index.lookups() as f64
             }
             _ => 0.0,
+        }
+    }
+
+    /// Releases an in-flight request's shard allocation — in debug
+    /// builds, checking it frees exactly the bytes its admission placed
+    /// (the bytes the scheduling snapshot reported as held).
+    fn release_placed(&mut self, r: &InFlight) {
+        let placed = self.ledger.release(r.req.id).expect("in-flight request holds allocation");
+        debug_assert_eq!(
+            placed.iter().sum::<u64>(),
+            r.placed_bytes,
+            "request {} freed other bytes than it placed",
+            r.req.id
+        );
+    }
+
+    /// Drops the queued entry at `pos`, which can never be placed on this
+    /// deployment. A preempted victim carries generated tokens, so it
+    /// completes with its retained progress instead of vanishing into
+    /// `rejected` (the generated-token accounting must keep summing over
+    /// outcomes).
+    fn drop_unplaceable(&mut self, st: &mut RunState, pos: usize) {
+        let entry = st.take_queued(pos);
+        let id = entry.req.id;
+        self.forget_demoted(st, id);
+        st.footprint_estimates.remove(&id);
+        if entry.emitted > 0 {
+            st.outcomes.push(RequestOutcome {
+                id,
+                class: entry.req.class,
+                deployment: self.deployment,
+                prompt_len: entry.req.prompt_len,
+                output_len: entry.emitted,
+                arrival_s: entry.arrival_s,
+                admitted_s: entry.first_admitted_s.expect("preempted request was admitted"),
+                first_token_s: entry.first_token_s.expect("preempted request emitted tokens"),
+                finished_s: st.clock,
+                slo_deadline_s: entry.req.slo.deadline_s(),
+                preemptions: entry.preemptions,
+                prefill_tokens: entry.prefill_tokens,
+            });
+            st.emit(self.deployment, id, EventKind::Completed { output_tokens: entry.emitted });
+        } else {
+            st.rejected.push(id);
+            st.emit(self.deployment, id, EventKind::Rejected);
         }
     }
 
@@ -1030,7 +1090,10 @@ impl ServeEngine {
             prefix: PrefixCacheStats::default(),
             cache_base,
             kv_placed: vec![0.0; self.ledger.device_count()],
-            footprint_estimates: HashMap::new(),
+            footprint_estimates: FxHashMap::default(),
+            queue_views: Vec::new(),
+            flight_views: Vec::new(),
+            device_free: Vec::new(),
             wb: WritebackManager::new(self.system.config().spill_interval()),
             just_preempted: Vec::new(),
             trace: match self.config.trace_events {
@@ -1096,7 +1159,7 @@ impl ServeEngine {
         let mut out = Vec::new();
         while out.len() < max && !st.prefilling.is_empty() {
             let p = st.prefilling.remove(0);
-            self.ledger.release(p.req.id).expect("prefilling request holds allocation");
+            self.release_placed(&p);
             self.release_prefix_hold(p.req.id);
             st.preemptions += 1;
             st.emit(self.deployment, p.req.id, EventKind::Preempted { emitted: p.emitted });
@@ -1116,7 +1179,7 @@ impl ServeEngine {
         }
         while out.len() < max && !st.running.is_empty() {
             let r = st.running.remove(0);
-            self.ledger.release(r.req.id).expect("running request holds allocation");
+            self.release_placed(&r);
             self.release_prefix_hold(r.req.id);
             st.preemptions += 1;
             st.emit(self.deployment, r.req.id, EventKind::Preempted { emitted: r.emitted });
@@ -1140,6 +1203,18 @@ impl ServeEngine {
     /// — everything the pre-split loop body did between two visits of the
     /// arrival cursor. Advancing the cursor (and feeding arrivals) is the
     /// driver's job.
+    ///
+    /// # Allocation contract
+    ///
+    /// A step whose decode hits the step memo allocates nothing on the
+    /// heap once the run has warmed up. The snapshot refills the
+    /// run-long buffers on [`RunState`], joins and evictions move
+    /// requests within `prefilling`/`running` in place, and the memo
+    /// lookups hash with `FxHashMap` instead of SipHash. What remains is
+    /// amortized growth of the run's result vectors, the decision list a
+    /// policy returns, and the shard ledger's own bookkeeping on the
+    /// steps that admit or evict. Keep it that way: this loop runs
+    /// millions of times per trace.
     pub(crate) fn advance_once(&mut self, st: &mut RunState) -> Result<StepProgress, CoreError> {
         st.just_preempted.clear();
         let wb_enabled = self.system.config().delayed_writeback();
@@ -1169,33 +1244,40 @@ impl ServeEngine {
                 (self.config.max_batch as usize).saturating_sub(in_flight_len as usize);
             let horizon =
                 self.policy.queue_horizon(free_slots).unwrap_or(usize::MAX).min(st.queue.len());
-            let held = |id: u64| self.ledger.held_bytes(id).unwrap_or(0);
-            let view_of = |r: &InFlight, decoding: bool| InFlightView {
-                id: r.req.id,
-                class: r.req.class,
-                priority: r.req.slo.priority,
-                arrival_s: r.arrival_s,
-                deadline_s: r.arrival_s + r.req.slo.deadline_s(),
-                emitted: r.emitted,
-                output_budget: r.req.output_budget,
-                decoding,
-                held_bytes: held(r.req.id),
-                preemptions: r.preemptions,
-                // A decoding request's prefill is complete whatever the
-                // chunk mode; a side-prefill (ChunkMode::Off) in flight
-                // reports its whole context as pending.
-                prefill_done: if decoding { r.prefill_total } else { r.prefill_done },
-                prefill_total: r.prefill_total,
+            let ledger = &self.ledger;
+            let view_of = |r: &InFlight, decoding: bool| {
+                debug_assert_eq!(
+                    r.placed_bytes,
+                    ledger.held_bytes(r.req.id).unwrap_or(0),
+                    "request {} holds other bytes than it placed",
+                    r.req.id
+                );
+                InFlightView {
+                    id: r.req.id,
+                    class: r.req.class,
+                    priority: r.req.slo.priority,
+                    arrival_s: r.arrival_s,
+                    deadline_s: r.arrival_s + r.req.slo.deadline_s(),
+                    emitted: r.emitted,
+                    output_budget: r.req.output_budget,
+                    decoding,
+                    held_bytes: r.placed_bytes,
+                    preemptions: r.preemptions,
+                    // A decoding request's prefill is complete whatever
+                    // the chunk mode; a side-prefill (ChunkMode::Off) in
+                    // flight reports its whole context as pending.
+                    prefill_done: if decoding { r.prefill_total } else { r.prefill_done },
+                    prefill_total: r.prefill_total,
+                }
             };
-            let mut queue_views: Vec<QueuedView> = Vec::with_capacity(horizon);
-            let footprint_estimates = &mut st.footprint_estimates;
+            st.queue_views.clear();
             for q in st.queue.iter().take(horizon) {
                 // The snapshot's footprint is an *estimate* (the engine
                 // re-derives the exact value at admission), so it is
                 // memoized per request rather than re-derived for the
                 // whole backlog on every step — α drifts with batch
                 // composition, the stored estimate does not.
-                let footprint_bytes = match footprint_estimates.get(&q.req.id) {
+                let footprint_bytes = match st.footprint_estimates.get(&q.req.id) {
                     Some(&f) => f,
                     None => {
                         let admit_alpha = self.alpha_sel.select(
@@ -1204,7 +1286,7 @@ impl ServeEngine {
                             q.req.prompt_len.max(1),
                         );
                         let f = self.request_footprint(&q.req, admit_alpha);
-                        footprint_estimates.insert(q.req.id, f);
+                        st.footprint_estimates.insert(q.req.id, f);
                         f
                     }
                 };
@@ -1217,7 +1299,7 @@ impl ServeEngine {
                     },
                     None => (0, 0.0),
                 };
-                queue_views.push(QueuedView {
+                st.queue_views.push(QueuedView {
                     id: q.req.id,
                     class: q.req.class,
                     priority: q.req.slo.priority,
@@ -1232,20 +1314,21 @@ impl ServeEngine {
                     recall_cost_s,
                 });
             }
-            let flight_views: Vec<InFlightView> = st
-                .running
-                .iter()
-                .map(|r| view_of(r, true))
-                .chain(st.prefilling.iter().map(|p| view_of(p, false)))
-                .collect();
-            let device_free = self.ledger.free_by_device();
+            st.flight_views.clear();
+            st.flight_views.extend(
+                st.running
+                    .iter()
+                    .map(|r| view_of(r, true))
+                    .chain(st.prefilling.iter().map(|p| view_of(p, false))),
+            );
+            self.ledger.free_by_device_into(&mut st.device_free);
             let snapshot = SchedSnapshot {
                 clock_s: st.clock,
                 step: st.step,
                 max_batch: self.config.max_batch,
-                queue: &queue_views,
-                in_flight: &flight_views,
-                device_free_bytes: &device_free,
+                queue: &st.queue_views,
+                in_flight: &st.flight_views,
+                device_free_bytes: &st.device_free,
                 placeable_free: self.ledger.placeable_free(),
                 prefill_backlog_tokens: st.prefill_backlog_tokens(),
             };
@@ -1263,7 +1346,7 @@ impl ServeEngine {
                     // are ignored.
                     if let Some(pos) = st.running.iter().position(|r| r.req.id == victim) {
                         let r = st.running.remove(pos);
-                        self.ledger.release(r.req.id).expect("running request holds allocation");
+                        self.release_placed(&r);
                         st.preemptions += 1;
                         st.emit(
                             self.deployment,
@@ -1285,7 +1368,7 @@ impl ServeEngine {
                             continue;
                         };
                         let p = st.prefilling.remove(pos);
-                        self.ledger.release(p.req.id).expect("prefilling request holds allocation");
+                        self.release_placed(&p);
                         st.preemptions += 1;
                         st.emit(
                             self.deployment,
@@ -1315,6 +1398,7 @@ impl ServeEngine {
                     }
                     let entry = st.take_queued(pos);
                     self.forget_demoted(st, entry.req.id);
+                    st.footprint_estimates.remove(&entry.req.id);
                     st.shed.push(ShedOutcome {
                         id: entry.req.id,
                         class: entry.req.class,
@@ -1340,52 +1424,9 @@ impl ServeEngine {
                         entry.req.prompt_len.max(1),
                     );
                     let footprint = self.request_footprint(&entry.req, admit_alpha);
-                    // A request that can never be placed is dropped — but
-                    // a preempted victim carries generated tokens, so it
-                    // completes with its retained progress instead of
-                    // vanishing into `rejected` (the generated-token
-                    // accounting must keep summing over outcomes).
-                    let deployment = self.deployment;
-                    let drop_unplaceable = |entry: QueueEntry,
-                                            outcomes: &mut Vec<RequestOutcome>,
-                                            rejected: &mut Vec<u64>,
-                                            clock: f64| {
-                        if entry.emitted > 0 {
-                            outcomes.push(RequestOutcome {
-                                id: entry.req.id,
-                                class: entry.req.class,
-                                deployment,
-                                prompt_len: entry.req.prompt_len,
-                                output_len: entry.emitted,
-                                arrival_s: entry.arrival_s,
-                                admitted_s: entry
-                                    .first_admitted_s
-                                    .expect("preempted request was admitted"),
-                                first_token_s: entry
-                                    .first_token_s
-                                    .expect("preempted request emitted tokens"),
-                                finished_s: clock,
-                                slo_deadline_s: entry.req.slo.deadline_s(),
-                                preemptions: entry.preemptions,
-                                prefill_tokens: entry.prefill_tokens,
-                            });
-                        } else {
-                            rejected.push(entry.req.id);
-                        }
-                    };
+                    // A request that can never be placed is dropped.
                     if footprint > self.max_placeable {
-                        self.forget_demoted(st, entry.req.id);
-                        drop_unplaceable(entry, &mut st.outcomes, &mut st.rejected, st.clock);
-                        st.take_queued(pos);
-                        if entry.emitted > 0 {
-                            st.emit(
-                                deployment,
-                                entry.req.id,
-                                EventKind::Completed { output_tokens: entry.emitted },
-                            );
-                        } else {
-                            st.emit(deployment, entry.req.id, EventKind::Rejected);
-                        }
+                        self.drop_unplaceable(st, pos);
                         continue;
                     }
                     match self.ledger.allocate(entry.req.id, footprint) {
@@ -1400,23 +1441,7 @@ impl ServeEngine {
                                 // (e.g. a stripe member filled by static
                                 // reservations): the request can never be
                                 // admitted.
-                                self.forget_demoted(st, entry.req.id);
-                                drop_unplaceable(
-                                    entry,
-                                    &mut st.outcomes,
-                                    &mut st.rejected,
-                                    st.clock,
-                                );
-                                st.take_queued(pos);
-                                if entry.emitted > 0 {
-                                    st.emit(
-                                        deployment,
-                                        entry.req.id,
-                                        EventKind::Completed { output_tokens: entry.emitted },
-                                    );
-                                } else {
-                                    st.emit(deployment, entry.req.id, EventKind::Rejected);
-                                }
+                                self.drop_unplaceable(st, pos);
                                 continue;
                             }
                             // Head-of-line wait: abandon the rest of this
@@ -1438,7 +1463,7 @@ impl ServeEngine {
                     // the admission instant is when the decision was made,
                     // the recall I/O is accounted by its own event above.
                     st.emit(
-                        deployment,
+                        self.deployment,
                         entry.req.id,
                         EventKind::Admitted { reused_tokens: reused },
                     );
@@ -1494,6 +1519,7 @@ impl ServeEngine {
                         // are charged to neither (that is the saving).
                         prefill_charged: entry.prefill_tokens
                             + if inline { 0 } else { pf_ctx - reused },
+                        placed_bytes: footprint,
                     });
                 }
             }
@@ -1572,20 +1598,16 @@ impl ServeEngine {
             }
         }
 
-        // 3: join finished prefills at this step boundary.
+        // 3: join finished prefills at this step boundary, moving them
+        // from `prefilling` onto the tail of `running`.
+        let joined_from = st.running.len();
         if inline {
             // The chunk cursor decides: fully-ingested prompts join in
             // admission order (the order their last chunks executed).
-            if st.prefilling.iter().any(|p| p.prefill_done >= p.prefill_total) {
-                let (ready, pending): (Vec<InFlight>, Vec<InFlight>) =
-                    st.prefilling.drain(..).partition(|p| p.prefill_done >= p.prefill_total);
-                st.prefilling = pending;
-                st.joins += ready.len() as u64;
-                for p in &ready {
-                    st.emit(self.deployment, p.req.id, EventKind::Joined);
-                }
-                st.running.extend(ready);
-                st.composition_changed = true;
+            let ready = |p: &InFlight| p.prefill_done >= p.prefill_total;
+            st.running.extend(st.prefilling.iter().copied().filter(ready));
+            if st.running.len() > joined_from {
+                st.prefilling.retain(|p| !ready(p));
             }
         } else {
             // Side-prefill: the simulated completion clock decides. If
@@ -1594,25 +1616,22 @@ impl ServeEngine {
                 let earliest = st.prefilling.iter().map(|p| p.join_s).fold(f64::INFINITY, f64::min);
                 st.clock = st.clock.max(earliest);
             }
-            if !st.prefilling.is_empty() {
-                let mut ready: Vec<InFlight> =
-                    st.prefilling.iter().copied().filter(|p| p.join_s <= st.clock).collect();
-                if !ready.is_empty() {
-                    let clock = st.clock;
-                    st.prefilling.retain(|p| p.join_s > clock);
-                    // Deterministic join order: prefill completion, then
-                    // id.
-                    ready.sort_by(|a, b| {
-                        a.join_s.total_cmp(&b.join_s).then(a.req.id.cmp(&b.req.id))
-                    });
-                    st.joins += ready.len() as u64;
-                    for p in &ready {
-                        st.emit(self.deployment, p.req.id, EventKind::Joined);
-                    }
-                    st.running.extend(ready);
-                    st.composition_changed = true;
-                }
+            let clock = st.clock;
+            st.running.extend(st.prefilling.iter().copied().filter(|p| p.join_s <= clock));
+            if st.running.len() > joined_from {
+                st.prefilling.retain(|p| p.join_s > clock);
+                // Deterministic join order: prefill completion, then id.
+                st.running[joined_from..]
+                    .sort_by(|a, b| a.join_s.total_cmp(&b.join_s).then(a.req.id.cmp(&b.req.id)));
             }
+        }
+        if st.running.len() > joined_from {
+            st.joins += (st.running.len() - joined_from) as u64;
+            for i in joined_from..st.running.len() {
+                let id = st.running[i].req.id;
+                st.emit(self.deployment, id, EventKind::Joined);
+            }
+            st.composition_changed = true;
         }
         if st.running.is_empty() {
             // Prefills still in flight but none ready — chunk modes keep
@@ -1652,51 +1671,53 @@ impl ServeEngine {
         st.host_bytes += outcome.host_pcie_bytes;
         st.internal_bytes += outcome.internal_read_bytes;
 
-        // Token emission + 5: eviction of completed requests.
-        let mut still_running = Vec::with_capacity(st.running.len());
-        for mut r in std::mem::take(&mut st.running) {
+        // Token emission + 5: eviction of completed requests, in place —
+        // every running request emits, and the finished ones leave the
+        // batch in running order (each one's `Emit` before its
+        // `Completed`).
+        let mut i = 0;
+        while i < st.running.len() {
+            let r = &mut st.running[i];
             r.emitted += 1;
             if r.first_token_s.is_none() {
                 r.first_token_s = Some(st.clock);
             }
+            let (id, emitted, finished) = (r.req.id, r.emitted, r.emitted >= r.req.output_budget);
             st.emit(
                 self.deployment,
-                r.req.id,
-                EventKind::Emit { index: r.emitted - 1, interference_s: interference },
+                id,
+                EventKind::Emit { index: emitted - 1, interference_s: interference },
             );
-            if r.emitted >= r.req.output_budget {
-                self.ledger.release(r.req.id).expect("running request holds allocation");
-                // A finished request's prefix KV is worth keeping:
-                // release its read pin and publish the prefix (and the
-                // session's full context, if keyed) into the ladder for
-                // later arrivals to reuse.
-                self.publish_finished(&r);
-                st.evictions += 1;
-                st.outcomes.push(RequestOutcome {
-                    id: r.req.id,
-                    class: r.req.class,
-                    deployment: self.deployment,
-                    prompt_len: r.req.prompt_len,
-                    output_len: r.emitted,
-                    arrival_s: r.arrival_s,
-                    admitted_s: r.admitted_s,
-                    first_token_s: r.first_token_s.unwrap(),
-                    finished_s: st.clock,
-                    slo_deadline_s: r.req.slo.deadline_s(),
-                    preemptions: r.preemptions,
-                    prefill_tokens: r.prefill_charged,
-                });
-                st.emit(
-                    self.deployment,
-                    r.req.id,
-                    EventKind::Completed { output_tokens: r.emitted },
-                );
-                st.composition_changed = true;
-            } else {
-                still_running.push(r);
+            if !finished {
+                i += 1;
+                continue;
             }
+            let r = st.running.remove(i);
+            self.release_placed(&r);
+            // A finished request's prefix KV is worth keeping: release
+            // its read pin and publish the prefix (and the session's
+            // full context, if keyed) into the ladder for later arrivals
+            // to reuse.
+            self.publish_finished(&r);
+            st.footprint_estimates.remove(&id);
+            st.evictions += 1;
+            st.outcomes.push(RequestOutcome {
+                id,
+                class: r.req.class,
+                deployment: self.deployment,
+                prompt_len: r.req.prompt_len,
+                output_len: r.emitted,
+                arrival_s: r.arrival_s,
+                admitted_s: r.admitted_s,
+                first_token_s: r.first_token_s.unwrap(),
+                finished_s: st.clock,
+                slo_deadline_s: r.req.slo.deadline_s(),
+                preemptions: r.preemptions,
+                prefill_tokens: r.prefill_charged,
+            });
+            st.emit(self.deployment, id, EventKind::Completed { output_tokens: r.emitted });
+            st.composition_changed = true;
         }
-        st.running = still_running;
         Ok(StepProgress::Decoded)
     }
 
@@ -1994,6 +2015,51 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report, eng2.run_trace(&trace).unwrap());
+    }
+
+    /// The snapshot's footprint estimates are bounded to live requests:
+    /// an estimate survives admission and preemption unchanged (a
+    /// re-queued victim's policy inputs must not drift) and is dropped
+    /// once its request terminates on the deployment.
+    #[test]
+    fn footprint_estimates_live_exactly_as_long_as_their_requests() {
+        let trace = TraceConfig { mean_interarrival_steps: 40, ..TraceConfig::azure_mix(96, 33) }
+            .generate()
+            .unwrap();
+        let mut eng = ServeEngine::with_policy(
+            system(8),
+            ServeConfig::new(4),
+            Box::new(PriorityPreempt::new()),
+        )
+        .unwrap();
+        let mut st = eng.new_run_state();
+        let (mut idx, mut preempted) = (0, 0);
+        while idx < trace.len() || st.has_work() {
+            while idx < trace.len() && trace[idx].arrival_step <= st.step {
+                eng.enqueue_arrival(&mut st, trace[idx]);
+                idx += 1;
+            }
+            if !st.has_work() {
+                st.step = trace[idx].arrival_step;
+                continue;
+            }
+            let before = st.footprint_estimates.clone();
+            assert_ne!(eng.advance_once(&mut st).unwrap(), StepProgress::Stalled);
+            st.step += 1;
+            preempted += st.just_preempted.len();
+            let live = st
+                .queue
+                .iter()
+                .map(|q| q.req.id)
+                .chain(st.running.iter().chain(&st.prefilling).map(|r| r.req.id));
+            for id in live {
+                if let Some(f) = before.get(&id) {
+                    assert_eq!(st.footprint_estimates.get(&id), Some(f), "request {id}");
+                }
+            }
+        }
+        assert!(preempted > 0, "the contended trace must preempt");
+        assert!(st.footprint_estimates.is_empty(), "terminated requests left estimates behind");
     }
 
     fn long_heavy_trace() -> Vec<Request> {

@@ -97,8 +97,7 @@ pub use snapshot::{InFlightView, QueuedView, SchedSnapshot};
 
 use hilos_llm::{DeploymentId, RequestClass};
 use hilos_metrics::{
-    class_breakdown, goodput, ClassReport, ClassSample, LatencyStats, PrefillBreakdown,
-    PrefixCacheStats,
+    goodput, ClassReport, ClassSample, LatencyStats, PrefillBreakdown, PrefixCacheStats,
 };
 
 /// Lifecycle record of one completed request.
@@ -246,24 +245,25 @@ pub fn throughput_of(generated_tokens: u64, elapsed_s: f64) -> f64 {
 /// [`ClusterReport`](crate::cluster::ClusterReport) so the class
 /// aggregation cannot drift between the two layers.
 pub fn class_breakdown_of(outcomes: &[RequestOutcome]) -> Vec<ClassReport> {
-    let mut samples: Vec<(RequestClass, ClassSample)> = outcomes
+    // One order-preserving pass buckets the samples by class.
+    let classes = RequestClass::all();
+    let mut buckets = classes.map(|_| Vec::<ClassSample>::new());
+    for o in outcomes {
+        let rank = classes.iter().position(|&c| c == o.class).expect("all() lists every class");
+        buckets[rank].push(ClassSample {
+            label: o.class.label(),
+            ttft_s: o.ttft(),
+            e2e_s: o.e2e(),
+            met_slo: o.met_slo(),
+            tokens: o.output_len,
+        });
+    }
+    classes
         .iter()
-        .map(|o| {
-            (
-                o.class,
-                ClassSample {
-                    label: o.class.label(),
-                    ttft_s: o.ttft(),
-                    e2e_s: o.e2e(),
-                    met_slo: o.met_slo(),
-                    tokens: o.output_len,
-                },
-            )
-        })
-        .collect();
-    let class_rank = |c: RequestClass| RequestClass::all().iter().position(|&x| x == c);
-    samples.sort_by_key(|(c, _)| class_rank(*c));
-    class_breakdown(samples.into_iter().map(|(_, s)| s))
+        .zip(&buckets)
+        .filter(|(_, b)| !b.is_empty())
+        .map(|(c, b)| ClassReport::from_samples(c.label(), b))
+        .collect()
 }
 
 /// Everything one trace run reports.
@@ -540,5 +540,64 @@ mod tests {
         assert_eq!(classes[1].slo_met, 0);
         assert!(report.class_report(RequestClass::Medium).is_none());
         assert_eq!(report.class_report(RequestClass::Short).unwrap().count, 1);
+    }
+
+    /// The sort-then-group breakdown that the one-pass bucketing
+    /// replaced, kept as the test oracle: stable-sort the samples by
+    /// class rank, then group them by label in first-seen order.
+    fn sorted_breakdown_oracle(outcomes: &[RequestOutcome]) -> Vec<ClassReport> {
+        let mut samples: Vec<(Option<usize>, ClassSample)> = outcomes
+            .iter()
+            .map(|o| {
+                let sample = ClassSample {
+                    label: o.class.label(),
+                    ttft_s: o.ttft(),
+                    e2e_s: o.e2e(),
+                    met_slo: o.met_slo(),
+                    tokens: o.output_len,
+                };
+                (RequestClass::all().iter().position(|&c| c == o.class), sample)
+            })
+            .collect();
+        samples.sort_by_key(|(rank, _)| *rank);
+        hilos_metrics::class_breakdown(samples.into_iter().map(|(_, s)| s))
+    }
+
+    #[test]
+    fn one_pass_class_breakdown_matches_the_sorting_oracle_bit_for_bit() {
+        use RequestClass::{Long, Medium, Short};
+        // Interleaved classes, tied latencies and signed-zero TTFTs.
+        let mut outcomes = Vec::new();
+        for i in 0..60u64 {
+            let class = [Long, Short, Medium, Short, Long][i as usize % 5];
+            let arrival = (i % 7) as f64;
+            let mut o = outcome(class, arrival, arrival + (i % 4) as f64 * 2.5, 4.0);
+            o.first_token_s = match i % 6 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => arrival + (i % 3) as f64 * 0.25,
+            };
+            if o.first_token_s == 0.0 {
+                o.arrival_s = 0.0;
+            }
+            o.output_len = 1 + i % 9;
+            outcomes.push(o);
+        }
+        let bits = |s: &LatencyStats| [s.mean, s.p50, s.p95, s.p99, s.max].map(f64::to_bits);
+        for n in [0, 1, 7, outcomes.len()] {
+            let (got, want) =
+                (class_breakdown_of(&outcomes[..n]), sorted_breakdown_oracle(&outcomes[..n]));
+            assert_eq!(got.len(), want.len(), "n = {n}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(
+                    (g.label, g.count, g.slo_met, g.tokens, g.slo_met_tokens),
+                    (w.label, w.count, w.slo_met, w.tokens, w.slo_met_tokens)
+                );
+                assert_eq!(bits(&g.ttft), bits(&w.ttft), "{} ttft, n = {n}", g.label);
+                assert_eq!(bits(&g.e2e), bits(&w.e2e), "{} e2e, n = {n}", g.label);
+            }
+        }
+        let labels: Vec<_> = class_breakdown_of(&outcomes).iter().map(|r| r.label).collect();
+        assert_eq!(labels, ["Short", "Medium", "Long"]);
     }
 }

@@ -30,11 +30,18 @@ impl LatencyStats {
     /// zeros. Percentiles use the nearest-rank method on a sorted copy,
     /// so the result is deterministic in the multiset of samples.
     pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
+        LatencyStats::from_owned(samples.to_vec())
+    }
+
+    /// [`LatencyStats::from_samples`] over an owned buffer, sorted in
+    /// place. The sort may be unstable: samples that tie under
+    /// `f64::total_cmp` are bit-identical, so the sorted sequence — and
+    /// the mean summed over it — is the same as a stable sort's.
+    fn from_owned(mut sorted: Vec<f64>) -> Self {
+        if sorted.is_empty() {
             return LatencyStats { count: 0, mean: 0.0, p50: 0.0, p95: 0.0, p99: 0.0, max: 0.0 };
         }
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
+        sorted.sort_unstable_by(f64::total_cmp);
         let n = sorted.len();
         let rank = |p: f64| -> f64 {
             let idx = ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
@@ -57,7 +64,7 @@ impl LatencyStats {
 /// without materializing an intermediate slice at every call site.
 impl FromIterator<f64> for LatencyStats {
     fn from_iter<I: IntoIterator<Item = f64>>(samples: I) -> Self {
-        LatencyStats::from_samples(&samples.into_iter().collect::<Vec<_>>())
+        LatencyStats::from_owned(samples.into_iter().collect())
     }
 }
 
@@ -128,6 +135,19 @@ pub struct ClassReport {
 }
 
 impl ClassReport {
+    /// Aggregates one class's samples (all labelled `label`).
+    pub fn from_samples(label: &'static str, samples: &[ClassSample]) -> Self {
+        ClassReport {
+            label,
+            count: samples.len(),
+            ttft: samples.iter().map(|s| s.ttft_s).collect(),
+            e2e: samples.iter().map(|s| s.e2e_s).collect(),
+            slo_met: samples.iter().filter(|s| s.met_slo).count(),
+            tokens: samples.iter().map(|s| s.tokens).sum(),
+            slo_met_tokens: samples.iter().filter(|s| s.met_slo).map(|s| s.tokens).sum(),
+        }
+    }
+
     /// Fraction of the class's requests that met their SLO (zero for an
     /// empty class).
     pub fn slo_hit_rate(&self) -> f64 {
@@ -158,19 +178,7 @@ pub fn class_breakdown(samples: impl IntoIterator<Item = ClassSample>) -> Vec<Cl
             }
         }
     }
-    order
-        .into_iter()
-        .zip(groups)
-        .map(|(label, g)| ClassReport {
-            label,
-            count: g.len(),
-            ttft: LatencyStats::from_samples(&g.iter().map(|s| s.ttft_s).collect::<Vec<_>>()),
-            e2e: LatencyStats::from_samples(&g.iter().map(|s| s.e2e_s).collect::<Vec<_>>()),
-            slo_met: g.iter().filter(|s| s.met_slo).count(),
-            tokens: g.iter().map(|s| s.tokens).sum(),
-            slo_met_tokens: g.iter().filter(|s| s.met_slo).map(|s| s.tokens).sum(),
-        })
-        .collect()
+    order.into_iter().zip(groups).map(|(label, g)| ClassReport::from_samples(label, &g)).collect()
 }
 
 /// Goodput: units credited only to requests that met the deadline, over
@@ -225,6 +233,50 @@ mod tests {
         assert_eq!(pooled, LatencyStats::from_samples(&[1.0, 5.0, 3.0, 2.0, 4.0]));
         assert_eq!(pooled.count, 5);
         assert_eq!(std::iter::empty::<f64>().collect::<LatencyStats>().count, 0);
+    }
+
+    /// The stable-sort statistics the unstable in-place sort replaced,
+    /// kept as the test oracle.
+    fn stable_sort_oracle(samples: &[f64]) -> LatencyStats {
+        if samples.is_empty() {
+            return LatencyStats { count: 0, mean: 0.0, p50: 0.0, p95: 0.0, p99: 0.0, max: 0.0 };
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let rank = |p: f64| sorted[((p * n as f64).ceil() as usize).clamp(1, n) - 1];
+        LatencyStats {
+            count: n,
+            mean: sorted.iter().sum::<f64>() / n as f64,
+            p50: rank(0.50),
+            p95: rank(0.95),
+            p99: rank(0.99),
+            max: sorted[n - 1],
+        }
+    }
+
+    #[test]
+    fn unstable_sort_matches_the_stable_oracle_bit_for_bit() {
+        // Ties, signed zeros and values whose sum depends on the order.
+        let mut samples = vec![0.0, -0.0, 0.0, -0.0, 1e16, 1.0, -1e16, 3.5, 3.5, 0.1, 0.2, 0.3];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..500 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Few distinct values, so most samples tie with another.
+            samples.push((x % 23) as f64 * 0.37 - 2.0);
+        }
+        for n in [0, 1, 2, 5, 12, samples.len()] {
+            let head = &samples[..n];
+            let bits =
+                |s: LatencyStats| [s.mean, s.p50, s.p95, s.p99, s.max].map(f64::to_bits).to_vec();
+            let oracle = stable_sort_oracle(head);
+            assert_eq!(bits(LatencyStats::from_samples(head)), bits(oracle), "n = {n}");
+            let collected: LatencyStats = head.iter().copied().collect();
+            assert_eq!(bits(collected), bits(oracle), "n = {n}");
+            assert_eq!(collected.count, n);
+        }
     }
 
     #[test]

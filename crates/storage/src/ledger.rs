@@ -256,7 +256,17 @@ impl KvShardLedger {
     /// Free bytes per device, in device index order — the scheduling
     /// snapshot's view of admission headroom.
     pub fn free_by_device(&self) -> Vec<u64> {
-        (0..self.shards.len()).map(|i| self.free_bytes(i)).collect()
+        let mut free = Vec::with_capacity(self.shards.len());
+        self.free_by_device_into(&mut free);
+        free
+    }
+
+    /// [`KvShardLedger::free_by_device`] into a caller-owned buffer,
+    /// cleared first — a per-step caller refills one buffer instead of
+    /// allocating a fresh vector every time.
+    pub fn free_by_device_into(&self, free: &mut Vec<u64>) {
+        free.clear();
+        free.extend((0..self.shards.len()).map(|i| self.free_bytes(i)));
     }
 
     /// Whether `bytes` could currently be placed (without placing them):
@@ -491,6 +501,10 @@ mod tests {
         for (i, &p) in placed.iter().enumerate() {
             assert_eq!(free[i], 1000 - p);
         }
+        // The buffer-filling twin replaces whatever the buffer held.
+        let mut buf = vec![7; 5];
+        l.free_by_device_into(&mut buf);
+        assert_eq!(buf, free);
         // Release restores the exact per-device free space — the
         // preempt/re-admit path depends on this round trip.
         l.release(4).unwrap();

@@ -545,3 +545,51 @@ fn unsorted_trace_is_a_typed_error() {
     let mut eng = ServeEngine::new(hilos(8, 1), ServeConfig::new(4)).unwrap();
     assert_eq!(eng.run_trace(&trace).unwrap_err(), CoreError::UnsortedTrace { index: 5 });
 }
+
+/// Golden pin of the preempting path's event stream: the twin of
+/// [`event_stream_is_deterministic_and_reconciles_on_shared_prefix_trace`]
+/// under `PriorityPreempt`. At batch 16 that trace never preempts, so the
+/// batch is cut to 4: the run then preempts, demotes the victims' KV and
+/// recalls it, and the stream and outcome hashes pin those paths — and
+/// the decode step's emit/complete order — alongside the FIFO pin.
+#[test]
+fn preempting_event_stream_is_pinned_on_shared_prefix_trace() {
+    let trace = shared_prefix_trace();
+    let run = |tracing: Option<usize>| {
+        let mut cfg = ServeConfig::new(4)
+            .with_chunk_mode(ChunkMode::chunked())
+            .with_prefix_cache(PrefixCacheConfig::default());
+        if let Some(cap) = tracing {
+            cfg = cfg.with_tracing(cap);
+        }
+        let mut eng =
+            ServeEngine::with_policy(hilos(8, 1), cfg, Box::new(PriorityPreempt::new())).unwrap();
+        eng.run_trace(&trace).unwrap()
+    };
+    let traced = run(Some(1 << 20));
+    let plain = run(None);
+    assert_eq!(traced.events_dropped, 0, "ring capacity must retain the whole run");
+    let mut stripped = traced.clone();
+    stripped.events = vec![];
+    assert_eq!(stripped, plain, "emission must not perturb the serving numbers");
+
+    let count = |label: &str| traced.events.iter().filter(|e| e.kind.label() == label).count();
+    assert_eq!(traced.preemptions, 13);
+    assert_eq!(count("preempted"), 13);
+    assert_eq!(count("demoted"), 13, "every victim's KV is demoted");
+    assert!(count("recall") > 0);
+    let cons = check_conservation(&[&traced.events]);
+    assert!(cons.holds(), "conservation violated: {cons:?}");
+    assert_eq!(cons.completed, 192);
+
+    assert_eq!(
+        events_fnv(&traced.events),
+        0x7bb0b55ff7378fc5,
+        "the preempting lifecycle event stream drifted"
+    );
+    assert_eq!(
+        hilos::core::outcome_lifecycle_fnv(&traced.outcomes),
+        0x8744b1d165ff05ed,
+        "per-outcome lifecycle timings drifted under preemption"
+    );
+}
