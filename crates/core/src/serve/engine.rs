@@ -18,7 +18,7 @@ use super::{RequestOutcome, ShedOutcome, TraceReport};
 use crate::fxhash::FxHashMap;
 use crate::runner::{CoreError, HilosSystem};
 use crate::scheduler::{weight_source, WeightSource};
-use crate::step::{AlphaSelector, DecodeStepExecutor};
+use crate::step::{AlphaSelector, DecodeStepExecutor, StepCost};
 use crate::writeback::{SpillDecision, WritebackManager};
 use hilos_llm::{DeploymentId, ModelConfig, Request};
 use hilos_metrics::{PrefillBreakdown, PrefixCacheStats};
@@ -346,17 +346,6 @@ struct StepKey {
     spill_tokens: u32,
 }
 
-/// The scalar slice of a [`StepOutcome`](crate::StepOutcome) the serving
-/// loop consumes every step — `Copy`, so cache hits stay allocation-free
-/// (the full outcome's per-category breakdown would clone a
-/// `Vec<String>` per step).
-#[derive(Debug, Clone, Copy)]
-struct CachedStep {
-    seconds: f64,
-    host_pcie_bytes: f64,
-    internal_read_bytes: f64,
-}
-
 /// Step/prefill memoization tables shared by every deployment of one
 /// identical system fingerprint in a cluster — a freshly provisioned
 /// elastic slot (or the 31 siblings of a homogeneous fleet) warm-starts
@@ -369,7 +358,7 @@ struct CachedStep {
 /// filled an entry first — the cache changes wall-clock, never results.
 #[derive(Debug, Default)]
 pub(crate) struct SharedStepCache {
-    steps: RwLock<FxHashMap<StepKey, CachedStep>>,
+    steps: RwLock<FxHashMap<StepKey, StepCost>>,
     prefills: RwLock<FxHashMap<(u64, u64), f64>>,
 }
 
@@ -580,7 +569,7 @@ pub struct ServeEngine {
     /// Placeable bytes of the empty array (after weight reservations) —
     /// the bound beyond which a request can never be admitted.
     max_placeable: u64,
-    step_cache: FxHashMap<StepKey, CachedStep>,
+    step_cache: FxHashMap<StepKey, StepCost>,
     prefill_cache: FxHashMap<(u64, u64), f64>,
     /// Fingerprint-group shared memo tables (`None` outside a cluster or
     /// with warm-start sharing off): when set, it is authoritative and
@@ -1014,7 +1003,7 @@ impl ServeEngine {
         mean_ctx: u64,
         alpha: f64,
         decision: &SpillDecision,
-    ) -> Result<CachedStep, CoreError> {
+    ) -> Result<StepCost, CoreError> {
         let key = StepKey {
             batch,
             context: self.quantize(mean_ctx),
@@ -1030,12 +1019,7 @@ impl ServeEngine {
         } else if let Some(&o) = self.step_cache.get(&key) {
             return Ok(o);
         }
-        let o = self.exec.execute_step(batch, key.context, alpha, decision)?;
-        let cached = CachedStep {
-            seconds: o.seconds,
-            host_pcie_bytes: o.host_pcie_bytes,
-            internal_read_bytes: o.internal_read_bytes,
-        };
+        let cached = self.exec.execute_step_cost(batch, key.context, alpha, decision)?;
         match &self.shared_cache {
             Some(shared) => {
                 shared.steps.write().expect("shared step cache poisoned").insert(key, cached);
@@ -1742,6 +1726,7 @@ impl ServeEngine {
                 slot.recall_seconds += now.recall_seconds - was.recall_seconds;
             }
         }
+        let events_dropped = st.trace.dropped();
         TraceReport {
             policy: self.policy.name().to_string(),
             outcomes: st.outcomes,
@@ -1783,8 +1768,8 @@ impl ServeEngine {
             step_latency_s: st.step_latency,
             wasted_prefill_tokens: st.wasted_prefill_tokens,
             prefix,
-            events: st.trace.snapshot(),
-            events_dropped: st.trace.dropped(),
+            events: st.trace.into_events(),
+            events_dropped,
         }
     }
 

@@ -18,7 +18,7 @@ use crate::writeback::SpillDecision;
 use crate::xcache::AlphaModel;
 use hilos_llm::ModelConfig;
 use hilos_platform::BuiltSystem;
-use hilos_sim::execute;
+use hilos_sim::{execute, TaskGraph, Timeline};
 
 /// Everything one executed decode step reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +37,19 @@ pub struct StepOutcome {
     pub internal_read_bytes: f64,
     /// Per-category task seconds (for the breakdown figures).
     pub category_seconds: Vec<(String, f64)>,
+}
+
+/// The scalar slice of a [`StepOutcome`] the serving loop consumes every
+/// step — `Copy`, so its memo hits stay allocation-free (the full
+/// outcome's per-category breakdown would clone a `Vec<String>` per step).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StepCost {
+    /// [`StepOutcome::seconds`].
+    pub(crate) seconds: f64,
+    /// [`StepOutcome::host_pcie_bytes`].
+    pub(crate) host_pcie_bytes: f64,
+    /// [`StepOutcome::internal_read_bytes`].
+    pub(crate) internal_read_bytes: f64,
 }
 
 /// Executes decode (and prefill) steps against one built simulation world.
@@ -115,6 +128,40 @@ impl DecodeStepExecutor {
         alpha: f64,
         decision: &SpillDecision,
     ) -> Result<StepOutcome, CoreError> {
+        let (graph, timeline, cost) = self.run_step(batch, context, alpha, decision)?;
+        Ok(StepOutcome {
+            seconds: cost.seconds,
+            gpu_utilization: timeline.utilization(self.sys.gpu),
+            cpu_utilization: timeline.utilization(self.sys.cpu),
+            dram_utilization: timeline.utilization(self.sys.host_dram),
+            host_pcie_bytes: cost.host_pcie_bytes,
+            internal_read_bytes: cost.internal_read_bytes,
+            category_seconds: timeline.category_seconds(&graph),
+        })
+    }
+
+    /// [`DecodeStepExecutor::execute_step`] reduced to the [`StepCost`]
+    /// the serving loop memoizes: the same step, without the utilization
+    /// and per-category breakdown it would discard.
+    pub(crate) fn execute_step_cost(
+        &mut self,
+        batch: u32,
+        context: u64,
+        alpha: f64,
+        decision: &SpillDecision,
+    ) -> Result<StepCost, CoreError> {
+        self.run_step(batch, context, alpha, decision).map(|(_, _, cost)| cost)
+    }
+
+    /// The one decode-step code path: build the step graph, execute it,
+    /// and account its traffic.
+    fn run_step(
+        &mut self,
+        batch: u32,
+        context: u64,
+        alpha: f64,
+        decision: &SpillDecision,
+    ) -> Result<(TaskGraph, Timeline, StepCost), CoreError> {
         let step = DecodeStepSpec {
             batch,
             context,
@@ -161,15 +208,12 @@ impl DecodeStepExecutor {
             * 2.0
             * layers;
 
-        Ok(StepOutcome {
+        let cost = StepCost {
             seconds: timeline.makespan().as_secs_f64() * self.layer_scale,
-            gpu_utilization: timeline.utilization(self.sys.gpu),
-            cpu_utilization: timeline.utilization(self.sys.cpu),
-            dram_utilization: timeline.utilization(self.sys.host_dram),
             host_pcie_bytes: weights + scatter + gather + x_reads + spill,
             internal_read_bytes: internal,
-            category_seconds: timeline.category_seconds(&graph),
-        })
+        };
+        Ok((graph, timeline, cost))
     }
 
     /// Executes the prefill phase for a `batch × context` job and returns
@@ -265,6 +309,45 @@ mod tests {
         assert!(long.seconds > 2.0 * short.seconds, "{} vs {}", long.seconds, short.seconds);
         assert!(short.internal_read_bytes > 0.0);
         assert!(!short.category_seconds.is_empty());
+    }
+
+    /// Bit pin of every [`StepOutcome`] field — seconds, the three
+    /// utilizations, both byte counts and the per-category seconds — at
+    /// batch {1, 32} × α {0, 0.5} × spill {off, on}, executed in that
+    /// order on one executor so the engine's accumulated statistics are
+    /// covered too.
+    #[test]
+    fn step_outcomes_are_bit_pinned() {
+        fn fold(h: u64, bytes: &[u8]) -> u64 {
+            bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        }
+        let system = hilos(8);
+        let mut exec = DecodeStepExecutor::new(&system).unwrap();
+        let quiet = SpillDecision { buffered_tokens: 0, spill_now: false, spill_tokens: 0 };
+        let spill = SpillDecision { buffered_tokens: 48, spill_now: true, spill_tokens: 32 };
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for batch in [1u32, 32] {
+            for alpha in [0.0, 0.5] {
+                for decision in [&quiet, &spill] {
+                    let o = exec.execute_step(batch, 16 * 1024, alpha, decision).unwrap();
+                    for x in [
+                        o.seconds,
+                        o.gpu_utilization,
+                        o.cpu_utilization,
+                        o.dram_utilization,
+                        o.host_pcie_bytes,
+                        o.internal_read_bytes,
+                    ] {
+                        h = fold(h, &x.to_bits().to_le_bytes());
+                    }
+                    for (category, secs) in &o.category_seconds {
+                        h = fold(h, category.as_bytes());
+                        h = fold(h, &secs.to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0x90f0_67ec_41b2_a200, "a decode-step outcome drifted: {h:#018x}");
     }
 
     #[test]

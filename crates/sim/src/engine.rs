@@ -13,9 +13,10 @@
 //! by [`FlowEngineImpl`]:
 //!
 //! * [`FlowEngineImpl::ProgressiveFilling`] (the default) recomputes exact
-//!   max-min rates over all jobs × resources on every composition change —
-//!   O(jobs × resources), bit-reproducible, and the equivalence oracle for
-//!   everything else.
+//!   max-min rates on every composition change — O(Σ route + active
+//!   resources) per filling round, where the active resources are those on
+//!   some live job's route — bit-reproducible, and the equivalence oracle
+//!   for everything else.
 //! * [`FlowEngineImpl::VirtualTime`] exploits the invariance of completion
 //!   *order* under fair sharing: per-resource virtual clocks advance with
 //!   the active-job count and each job's completion is predicted once at
@@ -61,9 +62,9 @@ pub(crate) fn completion_eps(demand: f64) -> f64 {
 /// Selects the rate-sharing algorithm behind a [`FlowEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FlowEngineImpl {
-    /// Exact max-min progressive filling; O(jobs × resources) per
-    /// composition change. Bit-reproducible — all golden pins are taken
-    /// under this engine.
+    /// Exact max-min progressive filling; O(Σ route + active resources)
+    /// per filling round on every composition change. Bit-reproducible —
+    /// all golden pins are taken under this engine.
     #[default]
     ProgressiveFilling,
     /// Virtual-time fair sharing; O(log n) per composition change.
@@ -286,9 +287,24 @@ impl FlowEngine {
     /// Returns [`SimError::TimeReversal`] if `t` is earlier than
     /// [`FlowEngine::now`].
     pub fn advance_to(&mut self, t: SimTime) -> Result<Vec<Completion>, SimError> {
+        let mut completions = Vec::new();
+        self.advance_into(t, &mut completions)?;
+        Ok(completions)
+    }
+
+    /// [`FlowEngine::advance_to`] appending into a caller's buffer, so a
+    /// driver that advances many times (the task executor) reuses one.
+    pub(crate) fn advance_into(
+        &mut self,
+        t: SimTime,
+        out: &mut Vec<Completion>,
+    ) -> Result<(), SimError> {
         match &mut self.inner {
-            Inner::Oracle(e) => e.advance_to(t),
-            Inner::Fair(e) => e.advance_to(t),
+            Inner::Oracle(e) => e.advance_into(t, out),
+            Inner::Fair(e) => {
+                out.extend(e.advance_to(t)?);
+                Ok(())
+            }
         }
     }
 
@@ -452,6 +468,22 @@ mod tests {
         assert!((s.busy_seconds - 0.5).abs() < 1e-9);
         assert!((s.observed_seconds - 1.0).abs() < 1e-9);
         assert!((s.utilization() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn idle_advances_observe_every_resource() {
+        // No job ever runs, and a resource joins between advances: every
+        // resource still accumulates the windows it was registered for.
+        for sel in [FlowEngineImpl::ProgressiveFilling, FlowEngineImpl::VirtualTime] {
+            let mut eng = FlowEngine::with_impl(sel);
+            let a = link(&mut eng, 1e9);
+            eng.advance_to(SimTime::from_secs(1)).unwrap();
+            let b = link(&mut eng, 1e9);
+            eng.advance_to(SimTime::from_secs(3)).unwrap();
+            assert_eq!(eng.stats(a).observed_seconds, 3.0, "{sel:?}");
+            assert_eq!(eng.stats(b).observed_seconds, 2.0, "{sel:?}");
+            assert_eq!(eng.stats(b).busy_seconds, 0.0, "{sel:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! honoring dependencies, and returns a [`Timeline`] with per-task spans,
 //! the foreground makespan and per-resource statistics for the window.
 
-use crate::engine::{FlowEngine, JobId};
+use crate::engine::{Completion, FlowEngine, JobId};
 use crate::error::SimError;
 use crate::resource::{ResourceId, ResourceStats};
 use crate::task::{TaskGraph, TaskId, TaskKind};
@@ -115,16 +115,29 @@ pub fn execute(engine: &mut FlowEngine, graph: &TaskGraph) -> Result<Timeline, S
     let started_at = engine.now();
     let stats_before = engine.stats_snapshot();
 
-    // Build dependency counts and successor lists.
+    // Dependency counts, and successor lists in CSR form: task `d`'s
+    // successors are `succ[first[d]..first[d + 1]]`, in graph order (the
+    // order they join the ready stack).
     let mut indegree: Vec<u32> = vec![0; n];
-    let mut successors: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut first: Vec<u32> = vec![0; n + 1];
     for (id, task) in graph.iter() {
         for d in task.deps() {
             if d.index() >= n {
                 return Err(SimError::UnknownTask(d.index()));
             }
             indegree[id.index()] += 1;
-            successors[d.index()].push(id.0);
+            first[d.index() + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        first[i + 1] += first[i];
+    }
+    let mut succ: Vec<u32> = vec![0; first[n] as usize];
+    let mut fill: Vec<u32> = first[..n].to_vec();
+    for (id, task) in graph.iter() {
+        for d in task.deps() {
+            succ[fill[d.index()] as usize] = id.0;
+            fill[d.index()] += 1;
         }
     }
 
@@ -134,7 +147,10 @@ pub fn execute(engine: &mut FlowEngine, graph: &TaskGraph) -> Result<Timeline, S
     let mut foreground_end = started_at;
     let mut finished_at = started_at;
 
-    let mut job_to_task: HashMap<JobId, u32> = HashMap::new();
+    // The task behind each in-flight job, indexed by the job's engine slot
+    // and checked by its sequence number.
+    let mut job_task: Vec<Option<(u64, u32)>> = Vec::new();
+    let mut flows_done: Vec<Completion> = Vec::new();
     // (wake time, insertion order, task) — min-heap via Reverse.
     let mut wakeups: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::new();
     let mut wake_seq = 0u64;
@@ -156,7 +172,7 @@ pub fn execute(engine: &mut FlowEngine, graph: &TaskGraph) -> Result<Timeline, S
             if !graph.task(TaskId(t)).is_background() {
                 foreground_end = foreground_end.max(now);
             }
-            for &s in &successors[t as usize] {
+            for &s in &succ[first[t as usize] as usize..first[t as usize + 1] as usize] {
                 indegree[s as usize] -= 1;
                 if indegree[s as usize] == 0 {
                     $ready.push(s);
@@ -186,7 +202,7 @@ pub fn execute(engine: &mut FlowEngine, graph: &TaskGraph) -> Result<Timeline, S
                         complete!(t, now, ready);
                     } else {
                         let job = engine.submit(route, *bytes, *rate_cap)?;
-                        job_to_task.insert(job, t);
+                        track(&mut job_task, job, t);
                     }
                 }
                 TaskKind::Compute { ops, resource } => {
@@ -194,7 +210,7 @@ pub fn execute(engine: &mut FlowEngine, graph: &TaskGraph) -> Result<Timeline, S
                         complete!(t, now, ready);
                     } else {
                         let job = engine.submit(&[*resource], *ops, None)?;
-                        job_to_task.insert(job, t);
+                        track(&mut job_task, job, t);
                     }
                 }
             }
@@ -218,8 +234,10 @@ pub fn execute(engine: &mut FlowEngine, graph: &TaskGraph) -> Result<Timeline, S
         };
 
         // Advance flows; collect flow completions at `next`.
-        for c in engine.advance_to(next)? {
-            if let Some(t) = job_to_task.remove(&c.job) {
+        flows_done.clear();
+        engine.advance_into(next, &mut flows_done)?;
+        for c in &flows_done {
+            if let Some(t) = untrack(&mut job_task, c.job) {
                 complete!(t, next, ready);
             }
         }
@@ -239,6 +257,27 @@ pub fn execute(engine: &mut FlowEngine, graph: &TaskGraph) -> Result<Timeline, S
         stats_after.iter().zip(stats_before.iter()).map(|(a, b)| a.since(b)).collect();
 
     Ok(Timeline { spans, started_at, foreground_end, finished_at, resource_delta })
+}
+
+/// Records that engine job `job` carries task `task`.
+fn track(job_task: &mut Vec<Option<(u64, u32)>>, job: JobId, task: u32) {
+    let slot = job.slot as usize;
+    if slot >= job_task.len() {
+        job_task.resize(slot + 1, None);
+    }
+    job_task[slot] = Some((job.seq, task));
+}
+
+/// The task engine job `job` carried, if it was tracked; forgets it.
+fn untrack(job_task: &mut [Option<(u64, u32)>], job: JobId) -> Option<u32> {
+    let entry = job_task.get_mut(job.slot as usize)?;
+    match *entry {
+        Some((seq, task)) if seq == job.seq => {
+            *entry = None;
+            Some(task)
+        }
+        _ => None,
+    }
 }
 
 #[cfg(test)]

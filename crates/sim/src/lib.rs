@@ -14,11 +14,12 @@
 //! [`FlowEngineImpl`] selector:
 //!
 //! * **Progressive filling** (default): exact max-min rates, recomputed
-//!   over all jobs × resources whenever the active set changes. This is
-//!   O(jobs × resources) per submit/complete/cancel — fine for thousands
-//!   of concurrent flows, a wall at millions. It is bit-reproducible and
-//!   serves as the *equivalence oracle*: every golden FNV pin in the
-//!   serving and cluster layers is taken under it.
+//!   whenever the active set changes. Each filling round costs O(Σ route +
+//!   active resources) — the live jobs' routes plus the resources on them
+//!   — and a recompute runs up to one round per distinct bottleneck: fine
+//!   for thousands of concurrent flows, a wall at millions. It is
+//!   bit-reproducible and serves as the *equivalence oracle*: every golden
+//!   FNV pin in the serving and cluster layers is taken under it.
 //! * **Virtual time**: the dslab-style `fair_fast_with_cancel`
 //!   construction. The key observation is that under fair sharing the
 //!   completion *order* of jobs on a resource is invariant — each job gets

@@ -5,9 +5,11 @@
 //! [`crate::fair`] (the same pattern as `next_completion_time_scan`
 //! inside this engine: the slow, obviously-correct formulation stays and
 //! every fast path must match it). It recomputes **exact max-min rates**
-//! (progressive filling with rate caps) over all jobs × resources on
-//! every composition change — O(jobs × resources) per submit, completion
-//! or cancel — which is what the fast engine exists to avoid.
+//! (progressive filling with rate caps) on every composition change —
+//! O(Σ route + active resources) per filling round, where the active
+//! resources are those on some live job's route, and up to one round per
+//! distinct bottleneck per submit, completion or cancel — which is what
+//! the fast engine exists to avoid.
 
 use crate::engine::{completion_eps, Completion, JobId};
 use crate::error::SimError;
@@ -21,7 +23,6 @@ struct JobState {
     seq: u64,
     demand: f64,
     remaining: f64,
-    route: Vec<ResourceId>,
     rate_cap: Option<f64>,
     rate: f64,
     /// Predicted absolute completion instant under the current rate, or
@@ -37,11 +38,40 @@ struct ResourceState {
     stats: ResourceStats,
 }
 
+/// Run-long buffers of the rate recompute and of `advance_into`, kept so
+/// neither allocates once warm; each sizes its per-resource buffers to the
+/// resource table on use. Between calls `load` and `allocated` are all
+/// zero; the other buffers carry no meaning across calls.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Each job's rate before the recompute, slot-aligned.
+    old_rates: Vec<f64>,
+    /// Per resource: capacity not yet handed to frozen jobs.
+    residual: Vec<f64>,
+    /// Per resource: unfrozen jobs crossing it.
+    load: Vec<u32>,
+    /// Per resource: saturated at the current share.
+    bottleneck: Vec<bool>,
+    /// Resources on some live job's route, in discovery order.
+    live: Vec<u32>,
+    /// Slots of the jobs still filling, and the next round's survivors.
+    unfrozen: Vec<u32>,
+    next: Vec<u32>,
+    /// Per resource: total rate allocated over an advance window.
+    allocated: Vec<f64>,
+    /// `(seq, job)` of the jobs completing in an advance.
+    done: Vec<(u64, JobId)>,
+}
+
 /// Progressive-filling max-min engine (the equivalence oracle).
 #[derive(Debug, Default)]
 pub(crate) struct OracleEngine {
     resources: Vec<ResourceState>,
     jobs: Vec<Option<JobState>>,
+    /// Each slot's route, slot-aligned with `jobs`. A freed slot keeps its
+    /// buffer, which the next job in that slot overwrites, so submits stop
+    /// allocating once the slots are warm; only live slots are read.
+    routes: Vec<Vec<ResourceId>>,
     free_slots: Vec<u32>,
     next_seq: u64,
     now: SimTime,
@@ -53,6 +83,8 @@ pub(crate) struct OracleEngine {
     /// one is discarded when it surfaces (its time no longer matches the
     /// job's stored prediction, or the job is gone).
     pred_heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Boxed to keep the engine (and `FlowEngine`'s variants) small.
+    scratch: Box<Scratch>,
 }
 
 impl OracleEngine {
@@ -120,22 +152,19 @@ impl OracleEngine {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let state = JobState {
-            seq,
-            demand: amount,
-            remaining: amount,
-            route: route.to_vec(),
-            rate_cap,
-            rate: 0.0,
-            pred: None,
-        };
+        let state =
+            JobState { seq, demand: amount, remaining: amount, rate_cap, rate: 0.0, pred: None };
         let slot = match self.free_slots.pop() {
             Some(s) => {
                 self.jobs[s as usize] = Some(state);
+                let buf = &mut self.routes[s as usize];
+                buf.clear();
+                buf.extend_from_slice(route);
                 s
             }
             None => {
                 self.jobs.push(Some(state));
+                self.routes.push(route.to_vec());
                 (self.jobs.len() - 1) as u32
             }
         };
@@ -163,127 +192,143 @@ impl OracleEngine {
 
     /// Recomputes max-min fair rates (progressive filling with caps), then
     /// refreshes the completion index for every job whose rate changed.
+    ///
+    /// Each filling round scans the unfrozen jobs' routes and the resources
+    /// on some live route, never the whole resource table: a resource no
+    /// live job crosses has no load, so it can neither set the bottleneck
+    /// share nor flag a job. The minimum share is exact whatever the scan
+    /// order, so the rates are bit-identical to a scan of every resource.
     fn recompute_rates(&mut self) {
         if !self.rates_dirty {
             return;
         }
         self.rates_dirty = false;
+        let OracleEngine { resources, jobs, routes, scratch: s, .. } = self;
+        let n_res = resources.len();
+        if s.load.len() != n_res {
+            s.residual.resize(n_res, 0.0);
+            s.load.resize(n_res, 0);
+            s.bottleneck.resize(n_res, false);
+        }
 
         // Old rates, slot-aligned, to detect which predictions survive.
-        let old_rates: Vec<f64> =
-            self.jobs.iter().map(|j| j.as_ref().map_or(0.0, |job| job.rate)).collect();
+        s.old_rates.clear();
+        s.old_rates.extend(jobs.iter().map(|j| j.as_ref().map_or(0.0, |job| job.rate)));
 
-        let n_res = self.resources.len();
-        let mut residual: Vec<f64> = self.resources.iter().map(|r| r.spec.capacity()).collect();
-        let mut load: Vec<u32> = vec![0; n_res];
-
-        // Collect indices of unfrozen jobs.
-        let mut unfrozen: Vec<u32> = Vec::with_capacity(self.active_jobs);
-        for (i, j) in self.jobs.iter().enumerate() {
-            if let Some(job) = j {
-                for r in &job.route {
-                    load[r.index()] += 1;
+        // Load every live job's route; a resource's first load makes it
+        // live and resets its residual and flag.
+        s.live.clear();
+        s.unfrozen.clear();
+        for (i, j) in jobs.iter().enumerate() {
+            if j.is_some() {
+                for r in &routes[i] {
+                    let r = r.index();
+                    if s.load[r] == 0 {
+                        s.live.push(r as u32);
+                        s.residual[r] = resources[r].spec.capacity();
+                        s.bottleneck[r] = false;
+                    }
+                    s.load[r] += 1;
                 }
-                unfrozen.push(i as u32);
+                s.unfrozen.push(i as u32);
             }
         }
 
         // Progressive filling.
-        while !unfrozen.is_empty() {
+        while !s.unfrozen.is_empty() {
             // Bottleneck share among resources used by unfrozen jobs.
             let mut share = f64::INFINITY;
-            for r in 0..n_res {
-                if load[r] > 0 {
-                    let s = (residual[r] / load[r] as f64).max(0.0);
-                    if s < share {
-                        share = s;
+            for &r in &s.live {
+                let r = r as usize;
+                if s.load[r] > 0 {
+                    let x = (s.residual[r] / s.load[r] as f64).max(0.0);
+                    if x < share {
+                        share = x;
                     }
                 }
             }
             debug_assert!(share.is_finite(), "unfrozen jobs must load some resource");
 
             // Jobs whose cap is below the share freeze at their cap first.
-            let min_cap = unfrozen
+            let min_cap = s
+                .unfrozen
                 .iter()
-                .filter_map(|&i| self.jobs[i as usize].as_ref().unwrap().rate_cap)
+                .filter_map(|&i| jobs[i as usize].as_ref().unwrap().rate_cap)
                 .fold(f64::INFINITY, f64::min);
 
             let eps = 1e-12 * (1.0 + share.abs());
+            s.next.clear();
             if min_cap < share - eps {
                 // Freeze every job whose cap is (close to) the minimum cap.
-                let mut next = Vec::with_capacity(unfrozen.len());
-                for &i in &unfrozen {
-                    let job = self.jobs[i as usize].as_ref().unwrap();
+                for &i in &s.unfrozen {
+                    let job = jobs[i as usize].as_mut().unwrap();
                     let frozen = match job.rate_cap {
                         Some(c) => c <= min_cap + eps,
                         None => false,
                     };
                     if frozen {
                         let rate = job.rate_cap.unwrap();
-                        let route = job.route.clone();
-                        self.jobs[i as usize].as_mut().unwrap().rate = rate;
-                        for r in &route {
-                            residual[r.index()] = (residual[r.index()] - rate).max(0.0);
-                            load[r.index()] -= 1;
+                        job.rate = rate;
+                        for r in &routes[i as usize] {
+                            s.residual[r.index()] = (s.residual[r.index()] - rate).max(0.0);
+                            s.load[r.index()] -= 1;
                         }
                     } else {
-                        next.push(i);
+                        s.next.push(i);
                     }
                 }
-                unfrozen = next;
             } else {
                 // Freeze jobs that cross a bottleneck resource at `share`.
-                let mut bottleneck = vec![false; n_res];
-                for r in 0..n_res {
-                    if load[r] > 0 {
-                        let s = residual[r] / load[r] as f64;
-                        if s <= share + eps {
-                            bottleneck[r] = true;
-                        }
-                    }
+                for &r in &s.live {
+                    let r = r as usize;
+                    s.bottleneck[r] =
+                        s.load[r] > 0 && s.residual[r] / s.load[r] as f64 <= share + eps;
                 }
-                let mut next = Vec::with_capacity(unfrozen.len());
                 let mut froze_any = false;
-                for &i in &unfrozen {
-                    let job = self.jobs[i as usize].as_ref().unwrap();
-                    let hits = job.route.iter().any(|r| bottleneck[r.index()]);
-                    if hits {
+                for &i in &s.unfrozen {
+                    let job = jobs[i as usize].as_mut().unwrap();
+                    let route = &routes[i as usize];
+                    if route.iter().any(|r| s.bottleneck[r.index()]) {
                         froze_any = true;
                         let rate = match job.rate_cap {
                             Some(c) => c.min(share),
                             None => share,
                         };
-                        let route = job.route.clone();
-                        self.jobs[i as usize].as_mut().unwrap().rate = rate;
-                        for r in &route {
-                            residual[r.index()] = (residual[r.index()] - rate).max(0.0);
-                            load[r.index()] -= 1;
+                        job.rate = rate;
+                        for r in route {
+                            s.residual[r.index()] = (s.residual[r.index()] - rate).max(0.0);
+                            s.load[r.index()] -= 1;
                         }
                     } else {
-                        next.push(i);
+                        s.next.push(i);
                     }
                 }
                 // Safety net against numerical stalls: freeze everything at
                 // the current share if no bottleneck was detected.
                 if !froze_any {
-                    for &i in &next {
-                        let job = self.jobs[i as usize].as_mut().unwrap();
+                    for &i in &s.next {
+                        let job = jobs[i as usize].as_mut().unwrap();
                         job.rate = match job.rate_cap {
                             Some(c) => c.min(share),
                             None => share,
                         };
                     }
-                    next.clear();
+                    s.next.clear();
                 }
-                unfrozen = next;
             }
+            std::mem::swap(&mut s.unfrozen, &mut s.next);
+        }
+        // The safety net can leave loads behind; restore the all-zero
+        // invariant for the next recompute.
+        for &r in &s.live {
+            s.load[r as usize] = 0;
         }
 
         // Re-index completions for jobs whose rate changed (or that never
         // had a prediction). Unchanged-rate jobs progress linearly, so
         // their absolute predictions stay exact across time advances.
         let now = self.now;
-        for (slot, (j, old)) in self.jobs.iter_mut().zip(&old_rates).enumerate() {
+        for (slot, (j, old)) in self.jobs.iter_mut().zip(&self.scratch.old_rates).enumerate() {
             let Some(j) = j else { continue };
             if j.rate.to_bits() == old.to_bits() && j.pred.is_some() {
                 continue;
@@ -352,31 +397,45 @@ impl OracleEngine {
         best
     }
 
-    pub(crate) fn advance_to(&mut self, t: SimTime) -> Result<Vec<Completion>, SimError> {
+    /// Advances to `t` and appends the jobs that completed, in submission
+    /// order, to `out`.
+    pub(crate) fn advance_into(
+        &mut self,
+        t: SimTime,
+        out: &mut Vec<Completion>,
+    ) -> Result<(), SimError> {
         if t < self.now {
             return Err(SimError::TimeReversal { now: self.now, requested: t });
         }
         self.recompute_rates();
         let dt = (t - self.now).as_secs_f64();
+        let s = &mut self.scratch;
 
-        // Accumulate resource statistics for the elapsed window.
+        // Accumulate resource statistics for the elapsed window. A resource
+        // with nothing allocated would add `+0.0` to its non-negative
+        // served/busy totals, which leaves them unchanged, so it is skipped.
         if dt > 0.0 {
-            let mut allocated: Vec<f64> = vec![0.0; self.resources.len()];
-            for j in self.jobs.iter().flatten() {
-                for r in &j.route {
-                    allocated[r.index()] += j.rate;
+            s.allocated.resize(self.resources.len(), 0.0);
+            for (j, route) in self.jobs.iter().zip(&self.routes) {
+                if let Some(j) = j {
+                    for r in route {
+                        s.allocated[r.index()] += j.rate;
+                    }
                 }
             }
-            for (r, state) in self.resources.iter_mut().enumerate() {
-                let rate = allocated[r].min(state.spec.capacity());
-                state.stats.units_served += rate * dt;
-                state.stats.busy_seconds += (rate / state.spec.capacity()) * dt;
+            for (state, allocated) in self.resources.iter_mut().zip(&mut s.allocated) {
+                if *allocated != 0.0 {
+                    let rate = allocated.min(state.spec.capacity());
+                    state.stats.units_served += rate * dt;
+                    state.stats.busy_seconds += (rate / state.spec.capacity()) * dt;
+                    *allocated = 0.0;
+                }
                 state.stats.observed_seconds += dt;
             }
         }
 
         // Progress jobs and collect completions.
-        let mut done: Vec<(u64, JobId)> = Vec::new();
+        s.done.clear();
         for (i, slot) in self.jobs.iter_mut().enumerate() {
             if let Some(j) = slot {
                 if dt > 0.0 {
@@ -384,27 +443,27 @@ impl OracleEngine {
                 }
                 let eps = completion_eps(j.demand);
                 if j.remaining <= eps {
-                    done.push((j.seq, JobId { slot: i as u32, seq: j.seq }));
+                    s.done.push((j.seq, JobId { slot: i as u32, seq: j.seq }));
                 }
             }
         }
-        done.sort_by_key(|(seq, _)| *seq);
-        let mut completions = Vec::with_capacity(done.len());
-        for (_, id) in done {
+        // Sequence numbers are unique, so the unstable sort is exact.
+        s.done.sort_unstable_by_key(|(seq, _)| *seq);
+        for &(_, id) in &s.done {
             self.jobs[id.slot as usize] = None;
             self.free_slots.push(id.slot);
             self.active_jobs -= 1;
             self.rates_dirty = true;
-            completions.push(Completion { job: id, at: t });
+            out.push(Completion { job: id, at: t });
         }
         self.now = t;
-        Ok(completions)
+        Ok(())
     }
 
     pub(crate) fn run_to_idle(&mut self) -> Result<SimTime, SimError> {
         while self.active_jobs > 0 {
             let t = self.next_completion_time().ok_or(SimError::Stalled)?;
-            self.advance_to(t)?;
+            self.advance_into(t, &mut Vec::new())?;
         }
         Ok(self.now)
     }

@@ -16,26 +16,25 @@ use crate::event::{Event, EventKind};
 pub fn perfetto_json(rings: &[&[Event]]) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
+    // Every line is written straight into `out` (writing to a `String`
+    // cannot fail); `line` puts the separator before all but the first.
     let mut first = true;
-    let push = |out: &mut String, first: &mut bool, line: &str| {
-        if !*first {
+    let mut line = |out: &mut String| {
+        if !first {
             out.push_str(",\n");
         }
-        *first = false;
-        out.push_str(line);
+        first = false;
     };
 
     for (pid, ring) in rings.iter().enumerate() {
         if ring.is_empty() {
             continue;
         }
-        push(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \
-                 \"args\": {{\"name\": \"deployment {pid}\"}}}}"
-            ),
+        line(&mut out);
+        let _ = write!(
+            out,
+            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \
+             \"args\": {{\"name\": \"deployment {pid}\"}}}}"
         );
     }
 
@@ -47,17 +46,15 @@ pub fn perfetto_json(rings: &[&[Event]]) -> String {
         let id = r.id;
         let begin = r.arrival_s * 1e6;
         let end = r.finished_s * 1e6;
-        push(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"name\": \"request {id}\", \"cat\": \"request\", \"ph\": \"b\", \
-                 \"pid\": {pid}, \"id\": {id}, \"ts\": {begin}, \
-                 \"args\": {{\"ttft_ms\": {}, \"preemptions\": {}, \"reused_tokens\": {}}}}}",
-                r.ttft_s * 1e3,
-                r.preemptions,
-                r.reused_tokens
-            ),
+        line(&mut out);
+        let _ = write!(
+            out,
+            "{{\"name\": \"request {id}\", \"cat\": \"request\", \"ph\": \"b\", \
+             \"pid\": {pid}, \"id\": {id}, \"ts\": {begin}, \
+             \"args\": {{\"ttft_ms\": {}, \"preemptions\": {}, \"reused_tokens\": {}}}}}",
+            r.ttft_s * 1e3,
+            r.preemptions,
+            r.reused_tokens
         );
         let phases = [
             ("migration", r.migration_s),
@@ -77,31 +74,25 @@ pub fn perfetto_json(rings: &[&[Event]]) -> String {
             // The components sum to e2e, so sequential tiling lands on
             // `end`; clamp the final boundary to it against f64 drift.
             let stop = if Some(i) == last { end } else { (t + dur * 1e6).min(end) };
-            push(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"name\": \"{name}\", \"cat\": \"request\", \"ph\": \"b\", \
-                     \"pid\": {pid}, \"id\": {id}, \"ts\": {t}}}"
-                ),
+            line(&mut out);
+            let _ = write!(
+                out,
+                "{{\"name\": \"{name}\", \"cat\": \"request\", \"ph\": \"b\", \
+                 \"pid\": {pid}, \"id\": {id}, \"ts\": {t}}}"
             );
-            push(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"name\": \"{name}\", \"cat\": \"request\", \"ph\": \"e\", \
-                     \"pid\": {pid}, \"id\": {id}, \"ts\": {stop}}}"
-                ),
+            line(&mut out);
+            let _ = write!(
+                out,
+                "{{\"name\": \"{name}\", \"cat\": \"request\", \"ph\": \"e\", \
+                 \"pid\": {pid}, \"id\": {id}, \"ts\": {stop}}}"
             );
             t = stop;
         }
-        push(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"name\": \"request {id}\", \"cat\": \"request\", \"ph\": \"e\", \
-                 \"pid\": {pid}, \"id\": {id}, \"ts\": {end}}}"
-            ),
+        line(&mut out);
+        let _ = write!(
+            out,
+            "{{\"name\": \"request {id}\", \"cat\": \"request\", \"ph\": \"e\", \
+             \"pid\": {pid}, \"id\": {id}, \"ts\": {end}}}"
         );
     }
 
@@ -124,17 +115,18 @@ pub fn perfetto_json(rings: &[&[Event]]) -> String {
             if !mark {
                 continue;
             }
-            let mut line = format!(
+            line(&mut out);
+            let _ = write!(
+                out,
                 "{{\"name\": \"{}\", \"cat\": \"lifecycle\", \"ph\": \"i\", \"s\": \"p\", \
                  \"pid\": {pid}, \"tid\": 0, \"ts\": {}",
                 ev.kind.label(),
                 ev.t_s * 1e6
             );
             if ev.request != crate::event::NO_REQUEST {
-                let _ = write!(line, ", \"args\": {{\"request\": {}}}", ev.request);
+                let _ = write!(out, ", \"args\": {{\"request\": {}}}", ev.request);
             }
-            line.push('}');
-            push(&mut out, &mut first, &line);
+            out.push('}');
         }
     }
 

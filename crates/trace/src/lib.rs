@@ -36,9 +36,11 @@
 //! tracing on the event stream itself is deterministic — same seed, same
 //! stream — and pinned in CI via [`events_fnv`] (FNV-1a over each event's
 //! kind code, `f64::to_bits` timestamp, ids, and payload fields in
-//! declaration order). [`EventRing`] additionally folds a streaming FNV at
-//! record time ([`EventRing::stream_fnv`]) that covers events beyond the
-//! ring's capacity.
+//! declaration order). [`EventRing`] additionally keeps a stream FNV
+//! ([`EventRing::stream_fnv`]) that covers events beyond the ring's
+//! capacity. It is folded lazily, so recording stays hash-free: an event
+//! enters the hash when it is evicted, and the retained events are folded
+//! on top when the hash is asked for.
 //!
 //! ## Exporter format
 //!

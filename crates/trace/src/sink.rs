@@ -21,6 +21,11 @@ pub trait TraceSink: std::fmt::Debug + Send {
     fn record(&mut self, ev: Event);
     /// Copy out the retained events, oldest first.
     fn snapshot(&self) -> Vec<Event>;
+    /// Move out the retained events, oldest first, consuming the sink —
+    /// what a finished run does instead of copying them.
+    fn into_events(self: Box<Self>) -> Vec<Event> {
+        self.snapshot()
+    }
     /// How many events were evicted beyond the sink's capacity.
     fn dropped(&self) -> u64 {
         0
@@ -44,15 +49,18 @@ impl TraceSink for NullSink {
 /// Bounded ring buffer of events with a streaming FNV-1a hash.
 ///
 /// The ring retains the most recent `capacity` events (oldest evicted
-/// first, counted in [`EventRing::dropped`]); the hash is folded at record
-/// time so [`EventRing::stream_fnv`] covers the *entire* stream even after
-/// eviction.
+/// first, counted in [`EventRing::dropped`]). The hash is folded lazily:
+/// an event enters it when it is evicted, and [`EventRing::stream_fnv`]
+/// folds the retained events on top when asked. Recording therefore
+/// hashes nothing until the ring is full, yet the hash still covers the
+/// *entire* stream, eviction included, in recording order.
 #[derive(Debug, Clone)]
 pub struct EventRing {
     buf: VecDeque<Event>,
     capacity: usize,
     dropped: u64,
-    fnv: u64,
+    /// FNV-1a over the evicted events, oldest first.
+    evicted_fnv: u64,
 }
 
 impl EventRing {
@@ -63,7 +71,7 @@ impl EventRing {
             buf: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
             dropped: 0,
-            fnv: FNV_OFFSET,
+            evicted_fnv: FNV_OFFSET,
         }
     }
 
@@ -82,9 +90,10 @@ impl EventRing {
         self.capacity
     }
 
-    /// FNV-1a hash over every event ever recorded, eviction included.
+    /// FNV-1a hash over every event ever recorded, eviction included:
+    /// the evicted events' hash with the retained events folded on top.
     pub fn stream_fnv(&self) -> u64 {
-        self.fnv
+        self.buf.iter().fold(self.evicted_fnv, |h, e| e.fold_fnv(h))
     }
 }
 
@@ -94,9 +103,10 @@ impl TraceSink for EventRing {
     }
 
     fn record(&mut self, ev: Event) {
-        self.fnv = ev.fold_fnv(self.fnv);
         if self.buf.len() == self.capacity {
-            self.buf.pop_front();
+            if let Some(old) = self.buf.pop_front() {
+                self.evicted_fnv = old.fold_fnv(self.evicted_fnv);
+            }
             self.dropped += 1;
         }
         self.buf.push_back(ev);
@@ -104,6 +114,10 @@ impl TraceSink for EventRing {
 
     fn snapshot(&self) -> Vec<Event> {
         self.buf.iter().copied().collect()
+    }
+
+    fn into_events(self: Box<Self>) -> Vec<Event> {
+        self.buf.into()
     }
 
     fn dropped(&self) -> u64 {
@@ -151,6 +165,20 @@ mod tests {
         }
         assert_eq!(ring.dropped(), 0);
         assert_eq!(ring.stream_fnv(), events_fnv(&ring.snapshot()));
+    }
+
+    #[test]
+    fn into_events_moves_out_the_snapshot() {
+        for cap in [2, 16] {
+            let mut ring = EventRing::new(cap);
+            for i in 0..5 {
+                ring.record(ev(i));
+            }
+            let snap = ring.snapshot();
+            let sink: Box<dyn TraceSink> = Box::new(ring);
+            assert_eq!(sink.into_events(), snap);
+        }
+        assert!(Box::new(NullSink).into_events().is_empty());
     }
 
     #[test]

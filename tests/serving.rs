@@ -496,6 +496,16 @@ fn event_stream_is_deterministic_and_reconciles_on_shared_prefix_trace() {
     let doc = perfetto_json(&[&traced.events]);
     validate_json(&doc).unwrap();
     assert!(spans_nest(&doc).unwrap() > traced.outcomes.len());
+    // The export's bytes are pinned too: number formatting and line layout
+    // are part of the format.
+    let doc_fnv = doc
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    assert_eq!(
+        (doc.len(), doc_fnv),
+        (183_378, 0x2e01_9271_caae_3d0f),
+        "the Perfetto export drifted"
+    );
 }
 
 /// Baseline parity: the same trace driven through the serial
@@ -592,4 +602,140 @@ fn preempting_event_stream_is_pinned_on_shared_prefix_trace() {
         0x8744b1d165ff05ed,
         "per-outcome lifecycle timings drifted under preemption"
     );
+}
+
+/// The DOM-based span check the streaming [`spans_nest`] replaced, kept as
+/// its oracle: parse the whole document, then walk `traceEvents`.
+fn spans_nest_oracle(s: &str) -> Result<usize, String> {
+    use hilos::trace::{parse_json, Json};
+    let doc = parse_json(s)?;
+    let events =
+        doc.get("traceEvents").and_then(Json::as_arr).ok_or("missing traceEvents array")?;
+    let mut stacks: std::collections::HashMap<(u64, u64), Vec<String>> =
+        std::collections::HashMap::new();
+    let mut spans = 0usize;
+    let mut last_ts: std::collections::HashMap<(u64, u64), f64> = std::collections::HashMap::new();
+    for ev in events {
+        let ph = ev.get("ph").and_then(Json::as_str).ok_or("event missing ph")?;
+        if ph != "b" && ph != "e" {
+            continue;
+        }
+        let pid = ev.get("pid").and_then(Json::as_f64).ok_or("async event missing pid")? as u64;
+        let id = ev.get("id").and_then(Json::as_f64).ok_or("async event missing id")? as u64;
+        let name =
+            ev.get("name").and_then(Json::as_str).ok_or("async event missing name")?.to_string();
+        let ts = ev.get("ts").and_then(Json::as_f64).ok_or("async event missing ts")?;
+        let key = (pid, id);
+        if let Some(&prev) = last_ts.get(&key) {
+            if ts < prev {
+                return Err(format!("track {key:?} not time-ordered: {ts} after {prev}"));
+            }
+        }
+        last_ts.insert(key, ts);
+        let stack = stacks.entry(key).or_default();
+        if ph == "b" {
+            stack.push(name);
+        } else {
+            match stack.pop() {
+                Some(open) if open == name => spans += 1,
+                Some(open) => return Err(format!("span 'e' {name} closes '{open}' on {key:?}")),
+                None => return Err(format!("span 'e' {name} with empty stack on {key:?}")),
+            }
+        }
+    }
+    for (key, stack) in &stacks {
+        if !stack.is_empty() {
+            return Err(format!("unclosed spans {stack:?} on {key:?}"));
+        }
+    }
+    Ok(spans)
+}
+
+/// Replaces only the `n`-th occurrence of `from` in `s`.
+fn replace_nth(s: &str, from: &str, to: &str, n: usize) -> String {
+    match s.match_indices(from).nth(n) {
+        Some((at, _)) => format!("{}{to}{}", &s[..at], &s[at + from.len()..]),
+        None => s.to_string(),
+    }
+}
+
+/// Differential check of the single-pass trace audits against the DOM
+/// parser: on the traced shared-prefix export and on mutated copies of it
+/// (truncations, swapped b/e phases, duplicate keys, non-object events,
+/// escaped names), `validate_json` accepts exactly what `parse_json`
+/// accepts, and `spans_nest` counts the same spans as the DOM oracle or
+/// fails where it fails.
+#[test]
+fn streaming_trace_checks_match_the_dom_oracle() {
+    let trace = shared_prefix_trace();
+    let cfg = ServeConfig::new(16)
+        .with_chunk_mode(ChunkMode::chunked())
+        .with_prefix_cache(PrefixCacheConfig::default())
+        .with_tracing(1 << 20);
+    let report = ServeEngine::new(hilos(8, 1), cfg).unwrap().run_trace(&trace).unwrap();
+    let doc = perfetto_json(&[&report.events]);
+
+    let mut variants: Vec<String> = vec![doc.clone()];
+    // Truncations: every byte of the head, then every k-th byte.
+    let cuts = (0..512).chain((512..doc.len()).step_by(4093));
+    variants.extend(cuts.filter(|&c| doc.is_char_boundary(c)).map(|c| doc[..c].to_string()));
+    // Swapped phases: all of them, or one.
+    let swapped =
+        doc.replace("\"ph\": \"b\"", "\"ph\": \"x\"").replace("\"ph\": \"e\"", "\"ph\": \"b\"");
+    variants.push(swapped.replace("\"ph\": \"x\"", "\"ph\": \"e\""));
+    for n in [0, 1, 7, 500] {
+        variants.push(replace_nth(&doc, "\"ph\": \"b\"", "\"ph\": \"e\"", n));
+        variants.push(replace_nth(&doc, "\"ph\": \"e\"", "\"ph\": \"b\"", n));
+    }
+    // Duplicate keys: the first occurrence wins.
+    for n in [0, 3, 400] {
+        variants.push(replace_nth(&doc, "\"ph\": \"b\"", "\"ph\": \"b\", \"ph\": \"e\"", n));
+        variants.push(replace_nth(&doc, "\"ph\": \"e\"", "\"ph\": \"i\", \"ph\": \"e\"", n));
+        variants.push(replace_nth(&doc, "\"ts\": ", "\"ts\": 0, \"ts\": ", n));
+    }
+    variants.push(doc.replacen("{", "{\"traceEvents\": 1, ", 1));
+    variants.push(doc.replacen("{", "{\"traceEvents\": [], ", 1));
+    variants.push(format!("{}, \"traceEvents\": 2}}\n", doc.trim_end().trim_end_matches('}')));
+    // Non-object events, at the head and mid-array.
+    for junk in ["3", "null", "[]", "\"x\"", "{}", "[{\"ph\": \"b\"}]"] {
+        variants.push(doc.replacen(
+            "\"traceEvents\": [\n",
+            &format!("\"traceEvents\": [\n{junk},\n"),
+            1,
+        ));
+        variants.push(replace_nth(&doc, "},\n{", &format!("}},\n{junk},\n{{"), 900));
+    }
+    // Escaped names: decoded equal, decoded different, and a bad escape.
+    for (from, to) in [
+        ("\"name\": \"decode\"", "\"name\": \"\\u0064ecode\""),
+        ("\"name\": \"decode\"", "\"name\": \"d\\u00e9code\""),
+        ("\"name\": \"prefill\"", "\"name\": \"pre\\\\fill\""),
+        ("\"name\": \"prefill\"", "\"name\": \"\\u+070refill\""),
+        ("\"name\": \"request", "\"name\": \"r\\u00e9quest"),
+    ] {
+        variants.push(doc.replace(from, to));
+        variants.push(replace_nth(&doc, from, to, 2));
+    }
+
+    let unchanged = variants[1..].iter().position(|v| *v == doc);
+    assert_eq!(unchanged, None, "a mutation left the export unchanged");
+    let mut agreed_ok = 0;
+    for (i, v) in variants.iter().enumerate() {
+        assert_eq!(
+            validate_json(v).is_ok(),
+            hilos::trace::parse_json(v).is_ok(),
+            "variant {i}: validate_json and parse_json disagree"
+        );
+        match (spans_nest(v), spans_nest_oracle(v)) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b, "variant {i}: span counts differ");
+                agreed_ok += 1;
+            }
+            (Err(_), Err(_)) => {}
+            (got, want) => panic!("variant {i}: spans_nest {got:?}, oracle {want:?}"),
+        }
+    }
+    // The unmutated export and the harmless mutations must pass both.
+    assert!(agreed_ok >= 4, "only {agreed_ok} variants passed");
+    assert!(spans_nest(&doc).unwrap() > report.outcomes.len());
 }
