@@ -26,27 +26,31 @@
 //!
 //! The functional kernel has to sweep million-token contexts fast enough
 //! to drive serving-scale campaign simulations, so the compute path is
-//! built around two ideas:
+//! built around three ideas:
 //!
 //! * **Table-driven decode.** All FP16 → FP32 widening goes through the
-//!   lazily-built 65536-entry LUT ([`crate::f16_decode_lut`]) via the
-//!   batch row-decode helpers on [`MatrixF16`]
-//!   ([`decode_rows_into`](MatrixF16::decode_rows_into)), replacing a
-//!   branchy bit-twiddling conversion per multiply–accumulate with one
+//!   lazily-built 65536-entry LUT ([`crate::f16_decode_lut`]), replacing
+//!   a branchy bit-twiddling conversion per multiply–accumulate with one
 //!   indexed load per stored element.
+//! * **Scoring straight from FP16.** The `QKᵀ` scorer reads the raw FP16
+//!   key rows and indexes the LUT inside the multiply, so K is never
+//!   decoded into an intermediate buffer. It scores eight tokens side by
+//!   side: each token keeps its own serial chain in the baseline's
+//!   tile-chunked order, and the eight independent chains only add
+//!   instruction-level parallelism (one chain alone is bound by the
+//!   latency of its dependent adds).
 //! * **A reusable flat scratch arena.** [`KernelScratch`] owns every
-//!   intermediate buffer (decoded queries, the decoded 128-token K/V
-//!   block, the score arena, softmax statistics, output accumulators) as
-//!   flat `Vec<f32>`s that grow once and are reused across calls — the
-//!   steady state allocates nothing but the `g × d` output matrix. The
-//!   plain [`attention_kernel`] entry point keeps one arena per thread in
-//!   a thread-local; [`attention_kernel_with_scratch`] gives callers
+//!   intermediate buffer (decoded queries, the decoded 128-token V block,
+//!   the score arena, softmax statistics, output accumulators) as flat
+//!   `Vec<f32>`s that grow once and are reused across calls — the steady
+//!   state allocates nothing but the `g × d` output matrix. The plain
+//!   [`attention_kernel`] entry point keeps one arena per thread in a
+//!   thread-local; [`attention_kernel_with_scratch`] gives callers
 //!   explicit control.
 //!
-//! Each 128-token K/V block is decoded **once per GQA group** and shared
-//! by all `g` queries (the baseline re-decoded V rows per query and Q
-//! elements per MAC — a `g`-fold and `block_len`-fold reduction in decode
-//! work respectively). Floating-point evaluation order is preserved
+//! Each 128-token V block is decoded **once per GQA group** and shared by
+//! all `g` queries (the baseline re-decoded V rows per query and Q
+//! elements per MAC). Floating-point evaluation order is preserved
 //! exactly — tile-chunked `QKᵀ` partial sums, token-ascending score-value
 //! accumulation — so results are **bit-identical** to the original
 //! kernel, which is retained as [`attention_kernel_baseline`] and pinned
@@ -59,6 +63,7 @@
 //! drops to `O(block)` while results stay bit-identical, at the price of
 //! computing the `QKᵀ` products twice.
 
+use crate::f16::{f16_decode_lut, F16};
 use crate::softmax::{SoftmaxStats, MASK_VALUE};
 use crate::tensor::{MatrixF16, MatrixF32};
 use std::cell::RefCell;
@@ -115,6 +120,13 @@ pub enum KernelError {
     },
     /// Neither stored context nor host tail supplied any tokens.
     EmptyContext,
+    /// A retrieval parameter lies outside its domain.
+    InvalidParameter {
+        /// The offending parameter.
+        what: &'static str,
+        /// What is wrong with its value.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for KernelError {
@@ -124,6 +136,7 @@ impl fmt::Display for KernelError {
                 write!(f, "shape mismatch in {what}: expected {expected}, got {actual}")
             }
             KernelError::EmptyContext => write!(f, "attention over an empty context"),
+            KernelError::InvalidParameter { what, reason } => write!(f, "invalid {what}: {reason}"),
         }
     }
 }
@@ -146,7 +159,10 @@ pub fn transpose_tile(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     }
 }
 
-fn validate(inputs: &AttentionInputs<'_>) -> Result<(usize, usize, usize, usize), KernelError> {
+/// Checks the shapes of `inputs`; returns `(g, d, s, tail)`.
+pub(crate) fn validate(
+    inputs: &AttentionInputs<'_>,
+) -> Result<(usize, usize, usize, usize), KernelError> {
     let g = inputs.queries.rows();
     let d = inputs.queries.cols();
     let s = inputs.keys.rows();
@@ -222,7 +238,8 @@ fn validate(inputs: &AttentionInputs<'_>) -> Result<(usize, usize, usize, usize)
 pub struct KernelScratch {
     /// Decoded queries, `g × d`.
     q: Vec<f32>,
-    /// Decoded K or V rows of the current 128-token block, `block × d`.
+    /// Decoded V rows of the current 128-token block, `block × d` (the
+    /// `simd` scorer also decodes K blocks here).
     block: Vec<f32>,
     /// Score tile of the current block, `g × BLOCK_TOKENS` (fused path).
     tile: Vec<f32>,
@@ -251,21 +268,92 @@ fn ensure(buf: &mut Vec<f32>, n: usize) {
     }
 }
 
-/// Scores `g` decoded queries against one decoded K block, writing the
-/// masked/scaled tile to `out[qi * out_stride + out_offset + j]`.
+/// Key rows [`dot_rows`] scores side by side.
+const SCORE_LANES: usize = 8;
+
+/// Dot products of the decoded query `q` (`d` values) against the `N` raw
+/// FP16 key rows stored back to back in `rows` (`N × d`), each key element
+/// LUT-decoded inside the multiply.
+///
+/// Every lane is one serial chain: per `tile`-wide chunk of the head
+/// dimension, `acc` starts at `zero` and adds `q[i]·k[i]` in ascending
+/// `i`, then `score += acc`, starting from `score = zero`. With
+/// `(TILE_DIM, 0.0)` that is the baseline kernel's K-Buf/KT-Buf order;
+/// with `(usize::MAX, -0.0)` it is `f32`'s `Sum` over the whole row
+/// (`-0.0 + x == x` bit for bit). The lanes never interact, so each
+/// result is bit-identical to the same chain run alone.
+#[inline(always)]
+fn dot_rows<const N: usize>(
+    q: &[f32],
+    rows: &[F16],
+    lut: &[f32; 1 << 16],
+    tile: usize,
+    zero: f32,
+) -> [f32; N] {
+    let d = q.len();
+    let rows = &rows[..N * d];
+    let mut score = [zero; N];
+    let mut dt = 0;
+    while dt < d {
+        let w = tile.min(d - dt);
+        let qt = &q[dt..dt + w];
+        let kt: [&[F16]; N] = std::array::from_fn(|l| &rows[l * d + dt..][..w]);
+        let mut acc = [zero; N];
+        for (i, &qi) in qt.iter().enumerate() {
+            for l in 0..N {
+                acc[l] += qi * lut[kt[l][i].to_bits() as usize];
+            }
+        }
+        for l in 0..N {
+            score[l] += acc[l];
+        }
+        dt += w;
+    }
+    score
+}
+
+/// Writes `out[j] = q · rows[j]` for every raw FP16 row of `rows`
+/// (`out.len() × d`), [`SCORE_LANES`] rows at a time; see [`dot_rows`] for
+/// the evaluation order `tile` and `zero` select.
+pub(crate) fn dot_rows_into(
+    q: &[f32],
+    rows: &[F16],
+    lut: &[f32; 1 << 16],
+    tile: usize,
+    zero: f32,
+    out: &mut [f32],
+) {
+    let d = q.len();
+    let mut j = 0;
+    while j + SCORE_LANES <= out.len() {
+        let dots = dot_rows::<SCORE_LANES>(q, &rows[j * d..], lut, tile, zero);
+        out[j..j + SCORE_LANES].copy_from_slice(&dots);
+        j += SCORE_LANES;
+    }
+    for (jj, o) in out.iter_mut().enumerate().skip(j) {
+        let [dot] = dot_rows::<1>(q, &rows[jj * d..], lut, tile, zero);
+        *o = dot;
+    }
+}
+
+/// Scores `g` decoded queries against the `block_len` raw FP16 key rows of
+/// one block, writing the masked/scaled tile to
+/// `out[qi * out_stride + out_offset + j]`.
 ///
 /// The `QKᵀ` partial sums are chunked [`TILE_DIM`]-wide along the head
 /// dimension — the same floating-point evaluation order as the baseline's
 /// K-Buf/KT-Buf pipeline, so scores are bit-identical to
 /// [`attention_kernel_baseline`]. (The online transpose itself is a
-/// memory-layout device; arithmetic values are unaffected by it.)
+/// memory-layout device; arithmetic values are unaffected by it.) The
+/// decode space `_decoded` is unused: keys are decoded inside the dot.
 #[allow(clippy::too_many_arguments)]
-fn score_block(
+fn score_rows(
     q: &[f32],
     g: usize,
     d: usize,
-    k_block: &[f32],
+    k_rows: &[F16],
     block_len: usize,
+    _decoded: &mut [f32],
     valid: Option<&[bool]>,
     block_start: usize,
     scale: f32,
@@ -273,49 +361,61 @@ fn score_block(
     out_stride: usize,
     out_offset: usize,
 ) {
+    let lut = f16_decode_lut();
     for qi in 0..g {
-        let qrow = &q[qi * d..(qi + 1) * d];
-        let orow = &mut out[qi * out_stride + out_offset..qi * out_stride + out_offset + block_len];
-        for (j, sj) in orow.iter_mut().enumerate() {
-            let krow = &k_block[j * d..(j + 1) * d];
-            let mut score = 0.0f32;
-            let mut dt = 0;
-            while dt < d {
-                let tile_w = TILE_DIM.min(d - dt);
-                let mut acc = 0.0f32;
-                for i in 0..tile_w {
-                    acc += qrow[dt + i] * krow[dt + i];
-                }
-                score += acc;
-                dt += tile_w;
+        let orow = &mut out[qi * out_stride + out_offset..][..block_len];
+        dot_rows_into(&q[qi * d..(qi + 1) * d], k_rows, lut, TILE_DIM, 0.0, orow);
+        mask_and_scale(orow, valid, block_start, scale);
+    }
+}
+
+/// The MASK stage of Fig. 7b over one block's raw dot products.
+fn mask_and_scale(orow: &mut [f32], valid: Option<&[bool]>, block_start: usize, scale: f32) {
+    match valid {
+        Some(v) => {
+            for (sj, &ok) in orow.iter_mut().zip(&v[block_start..]) {
+                *sj = if ok { *sj * scale } else { MASK_VALUE };
             }
-            let masked = valid.map(|v| !v[block_start + j]).unwrap_or(false);
-            *sj = if masked { MASK_VALUE } else { score * scale };
         }
+        None => orow.iter_mut().for_each(|sj| *sj *= scale),
     }
 }
 
 /// The scoring routine a kernel driver runs per K block — same signature
-/// as [`score_block`], so SIMD variants slot into the identical two-pass
-/// driver without duplicating it.
-type ScoreBlockFn =
-    fn(&[f32], usize, usize, &[f32], usize, Option<&[bool]>, usize, f32, &mut [f32], usize, usize);
+/// as [`score_rows`], so SIMD variants slot into the identical two-pass
+/// driver without duplicating it. The `&mut [f32]` argument is a
+/// `block × d` decode space a scorer may fill from the raw rows.
+type ScoreRowsFn = fn(
+    &[f32],
+    usize,
+    usize,
+    &[F16],
+    usize,
+    &mut [f32],
+    Option<&[bool]>,
+    usize,
+    f32,
+    &mut [f32],
+    usize,
+    usize,
+);
 
-/// Eight-lane `QKᵀ` scoring: each dot product runs on [`SIMD_LANES`]
+/// Eight-lane `QKᵀ` scoring: the K block is LUT-decoded into the decode
+/// space once per GQA group, then each dot product runs on [`SIMD_LANES`]
 /// independent accumulators over exact chunks, a shape LLVM
-/// auto-vectorizes to packed FMA on any target with 256-bit vectors
-/// (`unsafe` intrinsics are forbidden in this crate). The summation
-/// *order* differs from [`score_block`]'s tile-serial order, so scores —
-/// and outputs — agree only to rounding; the `simd` tolerance test bounds
-/// the divergence.
+/// auto-vectorizes to packed multiply–adds (`unsafe` intrinsics are
+/// forbidden in this crate). The summation *order* differs from
+/// [`score_rows`]'s tile-serial order, so scores — and outputs — agree
+/// only to rounding; the `simd` tolerance test bounds the divergence.
 #[cfg(feature = "simd")]
 #[allow(clippy::too_many_arguments)]
-fn score_block_simd(
+fn score_rows_simd(
     q: &[f32],
     g: usize,
     d: usize,
-    k_block: &[f32],
+    k_rows: &[F16],
     block_len: usize,
+    decoded: &mut [f32],
     valid: Option<&[bool]>,
     block_start: usize,
     scale: f32,
@@ -324,9 +424,14 @@ fn score_block_simd(
     out_offset: usize,
 ) {
     const SIMD_LANES: usize = 8;
+    let lut = f16_decode_lut();
+    let k_block = &mut decoded[..block_len * d];
+    for (dst, src) in k_block.iter_mut().zip(k_rows) {
+        *dst = lut[src.to_bits() as usize];
+    }
     for qi in 0..g {
         let qrow = &q[qi * d..(qi + 1) * d];
-        let orow = &mut out[qi * out_stride + out_offset..qi * out_stride + out_offset + block_len];
+        let orow = &mut out[qi * out_stride + out_offset..][..block_len];
         for (j, sj) in orow.iter_mut().enumerate() {
             let krow = &k_block[j * d..(j + 1) * d];
             let mut acc = [0.0f32; SIMD_LANES];
@@ -342,9 +447,9 @@ fn score_block_simd(
             // Pairwise lane reduction (keeps the dependency tree shallow).
             score +=
                 ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
-            let masked = valid.map(|v| !v[block_start + j]).unwrap_or(false);
-            *sj = if masked { MASK_VALUE } else { score * scale };
+            *sj = score;
         }
+        mask_and_scale(orow, valid, block_start, scale);
     }
 }
 
@@ -386,10 +491,10 @@ fn emit_output(acc: &[f32], g: usize, d: usize) -> MatrixF32 {
 /// Runs the blocked two-pass attention kernel with the given scratch
 /// arena — the optimized hot path.
 ///
-/// Each K/V block is LUT-decoded once and shared by all `g` queries of
-/// the GQA group; scores live in a flat arena instead of per-block
-/// vectors. Results are bit-identical to
-/// [`attention_kernel_baseline`].
+/// Keys are scored straight from FP16, eight tokens at a time; each V
+/// block is LUT-decoded once and shared by all `g` queries of the GQA
+/// group; scores live in a flat arena instead of per-block vectors.
+/// Results are bit-identical to [`attention_kernel_baseline`].
 ///
 /// # Errors
 ///
@@ -398,7 +503,7 @@ pub fn attention_kernel_with_scratch(
     inputs: &AttentionInputs<'_>,
     scratch: &mut KernelScratch,
 ) -> Result<MatrixF32, KernelError> {
-    attention_two_pass_scored(inputs, scratch, score_block)
+    attention_two_pass_scored(inputs, scratch, score_rows)
 }
 
 /// The two-pass driver, generic over the scoring routine. Every caller
@@ -407,10 +512,11 @@ pub fn attention_kernel_with_scratch(
 fn attention_two_pass_scored(
     inputs: &AttentionInputs<'_>,
     scratch: &mut KernelScratch,
-    score: ScoreBlockFn,
+    score: ScoreRowsFn,
 ) -> Result<MatrixF32, KernelError> {
     let (g, d, s, tail) = validate(inputs)?;
     let total = s + tail;
+    let keys = inputs.keys.as_slice();
 
     ensure(&mut scratch.q, g * d);
     inputs.queries.decode_rows_into(0, g, &mut scratch.q);
@@ -423,13 +529,13 @@ fn attention_two_pass_scored(
     let mut block_start = 0;
     while block_start < s {
         let block_len = BLOCK_TOKENS.min(s - block_start);
-        inputs.keys.decode_rows_into(block_start, block_len, &mut scratch.block);
         score(
             &scratch.q,
             g,
             d,
-            &scratch.block,
+            &keys[block_start * d..(block_start + block_len) * d],
             block_len,
+            &mut scratch.block,
             inputs.valid,
             block_start,
             inputs.scale,
@@ -513,7 +619,7 @@ pub fn attention_kernel(inputs: &AttentionInputs<'_>) -> Result<MatrixF32, Kerne
 }
 
 /// [`attention_kernel`] with the eight-lane SIMD `QKᵀ` inner loop
-/// ([`score_block_simd`]). Same driver, same inputs, same shapes — only
+/// (`score_rows_simd`). Same driver, same inputs, same shapes — only
 /// the dot-product summation order differs, so outputs agree with
 /// [`attention_kernel`] to rounding (bounded by the `simd` tolerance
 /// test) rather than bit-exactly.
@@ -539,7 +645,7 @@ pub fn attention_kernel_simd_with_scratch(
     inputs: &AttentionInputs<'_>,
     scratch: &mut KernelScratch,
 ) -> Result<MatrixF32, KernelError> {
-    attention_two_pass_scored(inputs, scratch, score_block_simd)
+    attention_two_pass_scored(inputs, scratch, score_rows_simd)
 }
 
 /// Runs the fused streaming variant: softmax statistics are folded into
@@ -572,6 +678,7 @@ pub fn attention_kernel_fused_with_scratch(
     scratch: &mut KernelScratch,
 ) -> Result<MatrixF32, KernelError> {
     let (g, d, s, tail) = validate(inputs)?;
+    let keys = inputs.keys.as_slice();
 
     ensure(&mut scratch.q, g * d);
     inputs.queries.decode_rows_into(0, g, &mut scratch.q);
@@ -584,13 +691,13 @@ pub fn attention_kernel_fused_with_scratch(
     let mut block_start = 0;
     while block_start < s {
         let block_len = BLOCK_TOKENS.min(s - block_start);
-        inputs.keys.decode_rows_into(block_start, block_len, &mut scratch.block);
-        score_block(
+        score_rows(
             &scratch.q,
             g,
             d,
-            &scratch.block,
+            &keys[block_start * d..(block_start + block_len) * d],
             block_len,
+            &mut scratch.block,
             inputs.valid,
             block_start,
             inputs.scale,
@@ -617,13 +724,13 @@ pub fn attention_kernel_fused_with_scratch(
     let mut block_start = 0;
     while block_start < s {
         let block_len = BLOCK_TOKENS.min(s - block_start);
-        inputs.keys.decode_rows_into(block_start, block_len, &mut scratch.block);
-        score_block(
+        score_rows(
             &scratch.q,
             g,
             d,
-            &scratch.block,
+            &keys[block_start * d..(block_start + block_len) * d],
             block_len,
+            &mut scratch.block,
             inputs.valid,
             block_start,
             inputs.scale,

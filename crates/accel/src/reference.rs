@@ -7,6 +7,8 @@
 //!   softmax in `f32`: the algorithm the paper's prefill baseline uses and
 //!   the "lossless" comparison point of Fig. 18c.
 
+use crate::f16::f16_decode_lut;
+use crate::kernel::{dot_rows_into, BLOCK_TOKENS};
 use crate::softmax::MASK_VALUE;
 use crate::tensor::{MatrixF16, MatrixF32};
 
@@ -139,16 +141,19 @@ pub fn attention_streaming(
     out
 }
 
-/// [`attention_streaming`] over FP16 storage: rows are LUT-decoded on the
-/// fly into small per-row buffers instead of widening whole matrices
-/// first.
+/// [`attention_streaming`] over FP16 storage, one 128-token block at a
+/// time: each block's dot products are computed straight from the FP16
+/// key rows (LUT-decoded inside the multiply, eight tokens side by side),
+/// its value rows are LUT-decoded once for the whole query group, and the
+/// token-sequential online-softmax update then runs unchanged.
 ///
 /// Bit-identical to `attention_streaming(&q.to_f32(), &k.to_f32(),
-/// &v.to_f32(), ...)` (the decode LUT reproduces `F16::to_f32` exactly
-/// and the arithmetic order is unchanged) while allocating `O(g·d)`
-/// rather than `O(s·d)` — this is what the baselines use to model CPU
-/// attention over an FP16 KV cache without materializing an FP32 copy of
-/// the context.
+/// &v.to_f32(), ...)`: the decode LUT reproduces `F16::to_f32` exactly,
+/// every dot product is the same serial chain `f32`'s `Sum` evaluates
+/// (starting from `-0.0`), and the softmax update order is unchanged. It
+/// allocates `O(g·d + BLOCK_TOKENS·d)` rather than `O(s·d)` — this is
+/// what the baselines use to model CPU attention over an FP16 KV cache
+/// without materializing an FP32 copy of the context.
 ///
 /// # Panics
 ///
@@ -170,47 +175,56 @@ pub fn attention_streaming_f16(
         assert_eq!(v.len(), s, "mask length mismatch");
     }
 
+    let lut = f16_decode_lut();
     let mut q_dec = vec![0.0f32; g * d];
     queries.decode_rows_into(0, g, &mut q_dec);
-    let mut k_row = vec![0.0f32; d];
-    let mut v_row = vec![0.0f32; d];
+    let mut dots = vec![0.0f32; BLOCK_TOKENS];
+    let mut v_block = vec![0.0f32; BLOCK_TOKENS * d];
+    // Online-softmax state per query: running max, denominator, output.
+    let mut m = vec![f32::NEG_INFINITY; g];
+    let mut z = vec![0.0f32; g];
+    let mut acc = vec![0.0f32; g * d];
 
-    let mut out = MatrixF32::zeros(g, d);
-    for qi in 0..g {
-        let q = &q_dec[qi * d..(qi + 1) * d];
-        let mut m = f32::NEG_INFINITY;
-        let mut z = 0.0f32;
-        let mut acc = vec![0.0f32; d];
-        for j in 0..s {
-            let masked = valid.map(|v| !v[j]).unwrap_or(false);
-            let x = if masked {
-                MASK_VALUE
-            } else {
-                keys.decode_row_into(j, &mut k_row);
-                let dot: f32 = q.iter().zip(&k_row).map(|(&a, &b)| a * b).sum();
-                dot * scale
-            };
-            values.decode_row_into(j, &mut v_row);
-            if x > m {
-                let r = (m - x).exp();
-                z = z * r + 1.0;
-                for a in acc.iter_mut() {
-                    *a *= r;
-                }
-                m = x;
-                for (a, &vv) in acc.iter_mut().zip(&v_row) {
-                    *a += vv;
-                }
-            } else {
-                let w = (x - m).exp();
-                z += w;
-                for (a, &vv) in acc.iter_mut().zip(&v_row) {
-                    *a += w * vv;
+    let mut block_start = 0;
+    while block_start < s {
+        let block_len = BLOCK_TOKENS.min(s - block_start);
+        let k_rows = &keys.as_slice()[block_start * d..(block_start + block_len) * d];
+        values.decode_rows_into(block_start, block_len, &mut v_block);
+        for qi in 0..g {
+            let dots = &mut dots[..block_len];
+            dot_rows_into(&q_dec[qi * d..(qi + 1) * d], k_rows, lut, usize::MAX, -0.0, dots);
+            let (m, z) = (&mut m[qi], &mut z[qi]);
+            let acc = &mut acc[qi * d..(qi + 1) * d];
+            for (j, &dot) in dots.iter().enumerate() {
+                let masked = valid.map(|v| !v[block_start + j]).unwrap_or(false);
+                let x = if masked { MASK_VALUE } else { dot * scale };
+                let v_row = &v_block[j * d..(j + 1) * d];
+                if x > *m {
+                    let r = (*m - x).exp();
+                    *z = *z * r + 1.0;
+                    for a in acc.iter_mut() {
+                        *a *= r;
+                    }
+                    *m = x;
+                    for (a, &vv) in acc.iter_mut().zip(v_row) {
+                        *a += vv;
+                    }
+                } else {
+                    let w = (x - *m).exp();
+                    *z += w;
+                    for (a, &vv) in acc.iter_mut().zip(v_row) {
+                        *a += w * vv;
+                    }
                 }
             }
         }
-        for (c, &a) in acc.iter().enumerate() {
-            out.set(qi, c, a / z);
+        block_start += block_len;
+    }
+
+    let mut out = MatrixF32::zeros(g, d);
+    for qi in 0..g {
+        for c in 0..d {
+            out.set(qi, c, acc[qi * d + c] / z[qi]);
         }
     }
     out

@@ -8,8 +8,12 @@
 //! deterministic estimation noise standing in for the quantized score
 //! approximation of the real system.
 
-use crate::kernel::{attention_kernel, AttentionInputs, KernelError};
+use crate::f16::f16_decode_lut;
+use crate::kernel::{
+    attention_kernel, dot_rows_into, validate, AttentionInputs, KernelError, BLOCK_TOKENS,
+};
 use crate::tensor::{MatrixF16, MatrixF32};
+use std::cmp::Ordering;
 
 /// Deterministic noise model for the approximate score estimation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,70 +32,113 @@ fn xorshift(state: &mut u64) -> f32 {
     ((*state >> 11) as f64 / (1u64 << 53) as f64) as f32 * 2.0 - 1.0
 }
 
+/// Orders estimates highest first, with NaN below every number — a total
+/// order that agrees with `partial_cmp` (so `-0.0` ties `+0.0`) wherever
+/// both are numbers.
+fn rank(a: f32, b: f32) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => b.partial_cmp(&a).unwrap_or(Ordering::Equal),
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
+    }
+}
+
 /// Runs lossy sparse attention: estimates scores, keeps the top
 /// `keep_fraction` of tokens (per query group, by the max score across the
 /// group), and computes exact attention over the kept subset.
 ///
 /// `keep_fraction` is clamped to `(0, 1]`; at 1.0 this degenerates to the
 /// exact kernel. The host tail (if any) is always kept — buffered entries
-/// are recent and cheap.
+/// are recent and cheap. Tokens are ranked by estimate, highest first,
+/// ties broken by position (earliest first); a NaN estimate (possible
+/// only from non-finite keys) ranks below every other.
 ///
 /// # Errors
 ///
-/// Propagates [`KernelError`] from the underlying kernel.
+/// Returns [`KernelError::InvalidParameter`] for a NaN `keep_fraction` or
+/// a non-finite or negative noise amplitude, and the kernel's
+/// [`KernelError`] on shape mismatches or an empty context.
 pub fn sparse_topk_attention(
     inputs: &AttentionInputs<'_>,
     keep_fraction: f64,
     noise: Option<EstimationNoise>,
 ) -> Result<MatrixF32, KernelError> {
+    if keep_fraction.is_nan() {
+        return Err(KernelError::InvalidParameter { what: "keep_fraction", reason: "is NaN" });
+    }
+    if let Some(n) = noise {
+        if !n.amplitude.is_finite() || n.amplitude < 0.0 {
+            return Err(KernelError::InvalidParameter {
+                what: "noise.amplitude",
+                reason: "must be finite and non-negative",
+            });
+        }
+    }
+    let (g, d, s, _) = validate(inputs)?;
     let keep_fraction = keep_fraction.clamp(1e-9, 1.0);
-    let s = inputs.keys.rows();
-    let g = inputs.queries.rows();
-    let d = inputs.queries.cols();
     if s == 0 {
         return attention_kernel(inputs);
     }
 
     // --- Score estimation (the lossy part) ---
-    // Queries are LUT-decoded once and each key row once (shared across
-    // the whole GQA group), instead of re-widening both per element —
-    // same arithmetic order, so the estimated scores (and therefore the
-    // selection) are bit-identical to the per-element path.
+    // Each 128-token block is scored for every query of the group straight
+    // from the FP16 key rows (LUT-decoded inside the multiply, eight tokens
+    // side by side), as the serial chain `f32`'s `Sum` evaluates. The max
+    // over the group and the noise are then applied in token order, so the
+    // noise stream is drawn exactly once per unmasked token, in order.
+    let lut = f16_decode_lut();
     let mut q_dec = vec![0.0f32; g * d];
     inputs.queries.decode_rows_into(0, g, &mut q_dec);
-    let mut k_row = vec![0.0f32; d];
+    let mut dots = vec![0.0f32; g * BLOCK_TOKENS];
     let mut noise_state = noise.map(|n| (n.seed | 1, n.amplitude));
     let mut est = vec![f32::NEG_INFINITY; s];
-    for j in 0..s {
-        let masked = inputs.valid.map(|v| !v[j]).unwrap_or(false);
-        if masked {
-            continue;
-        }
-        inputs.keys.decode_row_into(j, &mut k_row);
-        let mut best = f32::NEG_INFINITY;
+    let mut block_start = 0;
+    while block_start < s {
+        let block_len = BLOCK_TOKENS.min(s - block_start);
+        let k_rows = &inputs.keys.as_slice()[block_start * d..(block_start + block_len) * d];
         for qi in 0..g {
-            let q = &q_dec[qi * d..(qi + 1) * d];
-            let dot: f32 = q.iter().zip(&k_row).map(|(&a, &b)| a * b).sum();
-            best = best.max(dot * inputs.scale);
+            let out = &mut dots[qi * BLOCK_TOKENS..][..block_len];
+            dot_rows_into(&q_dec[qi * d..(qi + 1) * d], k_rows, lut, usize::MAX, -0.0, out);
         }
-        if let Some((state, amp)) = noise_state.as_mut() {
-            best += xorshift(state) * *amp;
+        for (j, e) in est[block_start..block_start + block_len].iter_mut().enumerate() {
+            if inputs.valid.is_some_and(|v| !v[block_start + j]) {
+                continue;
+            }
+            let mut best = f32::NEG_INFINITY;
+            for qi in 0..g {
+                best = best.max(dots[qi * BLOCK_TOKENS + j] * inputs.scale);
+            }
+            if let Some((state, amp)) = noise_state.as_mut() {
+                best += xorshift(state) * *amp;
+            }
+            *e = best;
         }
-        est[j] = best;
+        block_start += block_len;
     }
 
-    // --- Top-k selection ---
+    // --- Top-k selection: O(s) partition, then sort only the kept indices ---
     let keep = ((s as f64 * keep_fraction).ceil() as usize).clamp(1, s);
-    let mut order: Vec<usize> = (0..s).collect();
-    order.sort_by(|&a, &b| est[b].partial_cmp(&est[a]).unwrap_or(std::cmp::Ordering::Equal));
-    let mut selected: Vec<usize> = order.into_iter().take(keep).collect();
+    let mut selected: Vec<usize> = (0..s).collect();
+    if keep < s {
+        selected.select_nth_unstable_by(keep - 1, |&a, &b| rank(est[a], est[b]).then(a.cmp(&b)));
+        selected.truncate(keep);
+    }
     selected.sort_unstable();
 
     // --- Exact attention over the retrieved subset ---
+    attend_selected(inputs, &selected)
+}
+
+/// Exact attention over the stored tokens `selected` (ascending) plus the
+/// whole host tail.
+fn attend_selected(
+    inputs: &AttentionInputs<'_>,
+    selected: &[usize],
+) -> Result<MatrixF32, KernelError> {
+    let d = inputs.queries.cols();
     let mut k_sel = MatrixF16::zeros(0, d);
     let mut v_sel = MatrixF16::zeros(0, d);
     let mut valid_sel = Vec::with_capacity(selected.len());
-    for &j in &selected {
+    for &j in selected {
         k_sel.push_row(inputs.keys.row(j));
         v_sel.push_row(inputs.values.row(j));
         valid_sel.push(inputs.valid.map(|v| v[j]).unwrap_or(true));
@@ -232,6 +279,120 @@ mod tests {
         })
         .unwrap();
         assert!(sparse.max_abs_diff(&exact_valid) < 1e-4);
+    }
+
+    /// The selection as first written: per-row decode, `Sum` dot products
+    /// and a stable sort of every estimate, keeping the first `keep`.
+    fn stable_sort_oracle(
+        inputs: &AttentionInputs<'_>,
+        keep_fraction: f64,
+        noise: Option<EstimationNoise>,
+    ) -> MatrixF32 {
+        let keep_fraction = keep_fraction.clamp(1e-9, 1.0);
+        let (s, g, d) = (inputs.keys.rows(), inputs.queries.rows(), inputs.queries.cols());
+        let mut q_dec = vec![0.0f32; g * d];
+        inputs.queries.decode_rows_into(0, g, &mut q_dec);
+        let mut k_row = vec![0.0f32; d];
+        let mut noise_state = noise.map(|n| (n.seed | 1, n.amplitude));
+        let mut est = vec![f32::NEG_INFINITY; s];
+        for j in 0..s {
+            if inputs.valid.map(|v| !v[j]).unwrap_or(false) {
+                continue;
+            }
+            inputs.keys.decode_row_into(j, &mut k_row);
+            let mut best = f32::NEG_INFINITY;
+            for qi in 0..g {
+                let q = &q_dec[qi * d..(qi + 1) * d];
+                let dot: f32 = q.iter().zip(&k_row).map(|(&a, &b)| a * b).sum();
+                best = best.max(dot * inputs.scale);
+            }
+            if let Some((state, amp)) = noise_state.as_mut() {
+                best += xorshift(state) * *amp;
+            }
+            est[j] = best;
+        }
+        let keep = ((s as f64 * keep_fraction).ceil() as usize).clamp(1, s);
+        let mut order: Vec<usize> = (0..s).collect();
+        order.sort_by(|&a, &b| est[b].partial_cmp(&est[a]).unwrap_or(Ordering::Equal));
+        let mut selected: Vec<usize> = order.into_iter().take(keep).collect();
+        selected.sort_unstable();
+        attend_selected(inputs, &selected).unwrap()
+    }
+
+    fn bits(m: &MatrixF32) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn selection_matches_stable_sort_oracle() {
+        let s = 600;
+        let d = 24;
+        // Tie-heavy keys: only five distinct rows, so the stable sort's
+        // index order decides which duplicates are kept.
+        let (q1, k_rand, v) = toy(1, s, d, 71);
+        let (q3, _, _) = toy(3, 1, d, 73);
+        let kf = k_rand.to_f32();
+        let k_dup = MatrixF32::from_fn(s, d, |r, c| kf.at(r % 5, c)).to_f16();
+        let holes: Vec<bool> = (0..s).map(|j| j % 4 != 2 && j < 560).collect();
+        for (k, kname) in [(&k_dup, "duplicated rows"), (&k_rand, "random rows")] {
+            for (q, qname) in [(&q1, "g=1"), (&q3, "g=3")] {
+                for (valid, vname) in [(None, "unmasked"), (Some(holes.as_slice()), "masked")] {
+                    let inputs = AttentionInputs {
+                        queries: q,
+                        keys: k,
+                        values: &v,
+                        valid,
+                        scale: 0.3,
+                        host_tail: None,
+                    };
+                    for keep_fraction in [1.0 / s as f64, 1.0 / 8.0, 1.0] {
+                        for noise in [None, Some(EstimationNoise { amplitude: 0.7, seed: 5 })] {
+                            let what = format!(
+                                "{kname}, {qname}, {vname}, keep {keep_fraction}, noise {}",
+                                noise.is_some()
+                            );
+                            let got = sparse_topk_attention(&inputs, keep_fraction, noise)
+                                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                            let want = stable_sort_oracle(&inputs, keep_fraction, noise);
+                            assert_eq!(bits(&got), bits(&want), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_parameters_are_rejected() {
+        let (q, k, v) = toy(1, 4096, 16, 19);
+        let inputs = AttentionInputs {
+            queries: &q,
+            keys: &k,
+            values: &v,
+            valid: None,
+            scale: 0.3,
+            host_tail: None,
+        };
+        for amplitude in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.5] {
+            let err =
+                sparse_topk_attention(&inputs, 0.125, Some(EstimationNoise { amplitude, seed: 1 }))
+                    .unwrap_err();
+            assert!(
+                matches!(err, KernelError::InvalidParameter { what: "noise.amplitude", .. }),
+                "amplitude {amplitude}: {err:?}"
+            );
+        }
+        let err = sparse_topk_attention(&inputs, f64::NAN, None).unwrap_err();
+        assert!(matches!(err, KernelError::InvalidParameter { what: "keep_fraction", .. }));
+        assert_eq!(err.to_string(), "invalid keep_fraction: is NaN");
+        // The domain edges stay valid: no noise, and fractions clamped.
+        assert!(sparse_topk_attention(
+            &inputs,
+            0.125,
+            Some(EstimationNoise { amplitude: 0.0, seed: 1 })
+        )
+        .is_ok());
+        assert!(sparse_topk_attention(&inputs, f64::INFINITY, None).is_ok());
     }
 
     #[test]

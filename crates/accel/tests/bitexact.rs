@@ -69,7 +69,9 @@ fn assert_all_paths_bit_identical(inputs: &AttentionInputs<'_>, what: &str) {
 fn golden_gqa_shapes() {
     // (g, s, d): single query, multi-block, GQA groups, non-power-of-two
     // head dims (OPT-30B's d=112), exact block boundaries, sub-block
-    // contexts.
+    // contexts, and head dims wider than one TILE_DIM tile (d=160: a full
+    // tile plus a partial one; d=256: two full tiles), where each tile's
+    // partial dot product is added to the running score.
     let shapes = [
         (1usize, 1usize, 8usize),
         (1, 5, 8),
@@ -80,6 +82,8 @@ fn golden_gqa_shapes() {
         (4, 129, 112),
         (5, 257, 32),
         (8, 1000, 80),
+        (1, 300, 160),
+        (2, 200, 256),
     ];
     for (i, &(g, s, d)) in shapes.iter().enumerate() {
         let (q, k, v) = toy(g, s, d, 100 + i as u64);
@@ -126,6 +130,24 @@ fn golden_masked_padding() {
         host_tail: None,
     };
     assert_all_paths_bit_identical(&inputs, "interior holes");
+}
+
+#[test]
+fn golden_masked_multi_tile_head_dim() {
+    // d=160 spans two TILE_DIM tiles; the mask pads the tail and punches
+    // holes across the block boundary.
+    let (q, k, v) = toy(3, 290, 160, 61);
+    let (qh, kh, vh) = (q.to_f16(), k.to_f16(), v.to_f16());
+    let valid: Vec<bool> = (0..290).map(|j| j < 260 && j % 7 != 3).collect();
+    let inputs = AttentionInputs {
+        queries: &qh,
+        keys: &kh,
+        values: &vh,
+        valid: Some(&valid),
+        scale: 1.0 / 160f32.sqrt(),
+        host_tail: None,
+    };
+    assert_all_paths_bit_identical(&inputs, "masked d=160");
 }
 
 #[test]
